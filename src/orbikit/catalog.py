@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ParseError
-from .formats import loads, presentation_from_obj
+from .formats import presentation_from_obj, read_json
 from .inertia import OrbifoldPresentation
 
 #: Environment variable naming a directory of extra NAME.json catalog entries.
@@ -87,6 +87,5 @@ def load_catalog_presentation(entry: CatalogEntry) -> OrbifoldPresentation:
         raise ParseError(f"catalog entry {entry.name!r} is not an orbifold (kind: {entry.kind})")
     payload = entry.payload
     if "__path__" in payload:
-        text = Path(payload["__path__"]).read_text(encoding="utf-8")
-        return presentation_from_obj(loads(text))
+        return presentation_from_obj(read_json(Path(payload["__path__"])))
     return presentation_from_obj(payload)

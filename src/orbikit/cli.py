@@ -1,10 +1,10 @@
 """Command-line interface: diamond, check, partners, reconstruct, catalog.
 
-Exit codes are stable: 0 success/compatible, 1 a requested check failed or
-the inputs are incompatible/inconsistent, 2 parse error (including unknown
-catalog entries), 3 validation error, 4 dimension mismatch, 5 unsupported
-dimension range.  Machine output is exact: integers and "a/b" strings,
-never floats.
+Exit codes (the error types' `exit_code`) are stable: 0 success/compatible,
+1 a requested check failed or the inputs are incompatible/inconsistent, 2
+parse error (including unknown catalog entries and non-file paths), 3
+validation error, 4 dimension mismatch, 5 unsupported dimension range.
+Machine output is exact: integers and "a/b" strings, never floats.
 """
 
 from __future__ import annotations
@@ -16,48 +16,40 @@ from pathlib import Path
 
 from .catalog import catalog_entries, load_catalog_presentation
 from .diamond import ColumnVector, HodgeDiamond, check_symmetries, format_grade
-from .errors import (
-    DimensionMismatchError,
-    InconsistentError,
-    ParseError,
-    UnsupportedDimensionError,
-    ValidationError,
-)
-from .formats import diamond_from_obj, diamond_to_obj, dumps, grade_to_json, loads, presentation_from_obj
+from .errors import OrbikitError, ParseError
+from .formats import diamond_from_obj, diamond_to_obj, dumps, grade_to_json, presentation_from_obj, read_json
 from .inertia import OrbifoldPresentation, assemble_diamond, is_gorenstein
 from .invariants import Mismatch, PartnerReport, Verdict, check_partners, reconstruct_gorenstein
 
 PARTNER_NOTE = "note: necessary conditions only; this never certifies derived equivalence"
 
 
-def _read_source(source: str):
-    """Resolve a CLI input: (json_obj, None) for files, (None, presentation) for catalog names."""
+def _load_presentation(source: str, diamond_files: bool = False) -> OrbifoldPresentation | tuple[str, HodgeDiamond]:
+    """The presentation a file path or catalog name stands for.
+
+    A diamond file (an object with "entries") is a ParseError, or with
+    `diamond_files` is returned as the (name, diamond) pair it holds.
+    """
     path = Path(source)
     if path.is_file():
-        return loads(path.read_text(encoding="utf-8")), None
+        obj = read_json(path)
+        if not (isinstance(obj, dict) and "entries" in obj):
+            return presentation_from_obj(obj)
+        if diamond_files:
+            return diamond_from_obj(obj)
+        raise ParseError(f"{source}: expected an orbifold file, got a bare diamond file")
     entries = catalog_entries()
     if source in entries:
-        return None, load_catalog_presentation(entries[source])
+        return load_catalog_presentation(entries[source])
+    if path.exists():
+        raise ParseError(f"{source}: not a regular file")
     raise ParseError(f"unknown catalog entry: {source}")
-
-
-def _load_presentation(source: str) -> OrbifoldPresentation:
-    obj, presentation = _read_source(source)
-    if presentation is not None:
-        return presentation
-    if isinstance(obj, dict) and "entries" in obj:
-        raise ParseError(f"{source}: expected an orbifold file, got a bare diamond file")
-    return presentation_from_obj(obj)
 
 
 def _load_any_diamond(source: str) -> tuple[str, HodgeDiamond]:
     """Orbifold sources are assembled; diamond files are taken as-is."""
-    obj, presentation = _read_source(source)
-    if presentation is None:
-        if isinstance(obj, dict) and "entries" in obj:
-            return diamond_from_obj(obj)
-        presentation = presentation_from_obj(obj)
-    return presentation.name, assemble_diamond(presentation)
+    loaded = _load_presentation(source, diamond_files=True)
+    return loaded if isinstance(loaded, tuple) else (loaded.name, assemble_diamond(loaded))
 
 
 def _grade_axis(d: HodgeDiamond) -> list[Fraction]:
@@ -181,13 +173,8 @@ def _parse_columns_flag(text: str, n: int) -> ColumnVector:
         if i in given and given[i] != v:
             raise ParseError(f"--columns: column {i} given twice with different values")
         given[i] = v
-    # Mirror onto the negative side; explicit contradictions are rejected.
-    full = dict(given)
-    for i, v in given.items():
-        if -i in given and given[-i] != v:
-            raise InconsistentError(f"columns {i} and {-i} disagree ({given[i]} vs {given[-i]})")
-        full[-i] = v
-    return ColumnVector(n, full)
+    # Mirror onto the negative side; reconstruct_gorenstein rejects contradictions.
+    return ColumnVector(n, {**{-i: v for i, v in given.items()}, **given})
 
 
 def cmd_diamond(args) -> int:
@@ -225,10 +212,6 @@ def cmd_partners(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    if args.dim > 3:
-        raise UnsupportedDimensionError(
-            f"reconstruction is only defined for dimension <= 3, got {args.dim}"
-        )
     cols = _parse_columns_flag(args.columns, args.dim)
     d = reconstruct_gorenstein(cols, h01=args.h01, n=args.dim)
     print(render_diamond("reconstruction", d, args.format))
@@ -295,25 +278,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        _fail(exc)
-        return 2
-    except DimensionMismatchError as exc:
-        _fail(exc)
-        return 4
-    except UnsupportedDimensionError as exc:
-        _fail(exc)
-        return 5
-    except InconsistentError as exc:
-        _fail(exc)
-        return 1
-    except ValidationError as exc:
-        _fail(exc)
-        return 3
-
-
-def _fail(exc: Exception) -> None:
-    print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    except OrbikitError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

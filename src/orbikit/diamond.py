@@ -17,6 +17,7 @@ stringy E-polynomial of an orbifold presentation.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -35,25 +36,31 @@ GradeLike = Union[int, Fraction, str]
 
 GradeKey = Tuple[Grade, Grade]
 
+_GRADE_TEXT = re.compile(r"(-?\d+)(?:/(\d+))?", re.ASCII)
+
+
+def is_int(value) -> bool:
+    """True for an int that is not a bool, the integer check of every validator."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
 
 def as_grade(value: GradeLike) -> Grade:
-    """Coerce an int, Fraction or exact "a/b" string to a grade.
+    """Coerce an int, Fraction or exact string to a grade; the only grade parser.
 
+    A string must be "a" or "a/b" in lowest terms with b > 0, nothing else:
+    no decimals, exponents, signs other than a leading "-", or whitespace.
     Floats are rejected: decimal notation cannot represent grades like 1/3
     exactly, and silently accepting floats would corrupt exactness.
     """
+    if is_int(value):
+        return Fraction(value)
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, bool):
-        raise ValidationError(f"not an exact rational grade: {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValidationError(f"not an exact rational grade: {value!r}") from exc
-    raise ValidationError(f"not an exact rational grade: {value!r} (use int, Fraction or 'a/b')")
+    if isinstance(value, str) and (match := _GRADE_TEXT.fullmatch(value)):
+        num, den = int(match[1]), int(match[2] or 1)
+        if den > 0 and math.gcd(num, den) == 1:
+            return Fraction(num, den)
+    raise ValidationError(f"not an exact rational grade: {value!r} (use int, Fraction or 'a/b' in lowest terms)")
 
 
 def format_grade(g: Grade) -> str:
@@ -61,7 +68,65 @@ def format_grade(g: Grade) -> str:
     return str(g.numerator) if g.denominator == 1 else f"{g.numerator}/{g.denominator}"
 
 
-class HodgeDiamond:
+def check_dim(dim_n) -> None:
+    """Raise ValidationError unless `dim_n` is a nonnegative integer."""
+    if not is_int(dim_n) or dim_n < 0:
+        raise ValidationError(f"dimension must be a nonnegative integer, got {dim_n!r}")
+
+
+def _format_key(key) -> str:
+    return f"({format_grade(key[0])},{format_grade(key[1])})" if isinstance(key, tuple) else str(key)
+
+
+class _SparseMap:
+    """Sorted sparse map without zero values, the core of the diamond-like types.
+
+    Subclasses validate their entries and pass them to `_SparseMap.__init__`,
+    which drops zeros and sorts.  Equality and hashing see the class, `dim_n`
+    (None for StringyPolynomial, which has no dimension) and the map;
+    nothing else.  Instances are immutable.
+    """
+
+    __slots__ = ("_dim_n", "_map")
+
+    def __init__(self, dim_n: int | None, cleaned: Mapping):
+        self._dim_n = dim_n
+        self._map = {k: v for k, v in sorted(cleaned.items()) if v}
+
+    @property
+    def dim_n(self) -> int | None:
+        return self._dim_n
+
+    @property
+    def _view(self) -> Mapping:
+        """Read-only view of the normalized map."""
+        return MappingProxyType(self._map)
+
+    def items(self):
+        return self._map.items()
+
+    def keys(self):
+        return self._map.keys()
+
+    def total(self) -> int:
+        """The sum of all stored values."""
+        return sum(self._map.values())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._dim_n == other._dim_n and self._map == other._map
+
+    def __hash__(self) -> int:
+        return hash((self._dim_n, frozenset(self._map.items())))
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{_format_key(k)}: {v}" for k, v in self._map.items())
+        dim = "" if self._dim_n is None else f"dim_n={self._dim_n}, "
+        return f"{type(self).__name__}({dim}{{{body}}})"
+
+
+class HodgeDiamond(_SparseMap):
     """Sparse map of Hodge numbers of one space, possibly rationally graded.
 
     Invariants enforced at construction:
@@ -77,7 +142,7 @@ class HodgeDiamond:
     Instances are immutable.
     """
 
-    __slots__ = ("_dim_n", "_level", "_entries")
+    __slots__ = ("_level",)
 
     def __init__(
         self,
@@ -85,63 +150,40 @@ class HodgeDiamond:
         entries: Mapping[Tuple[GradeLike, GradeLike], int] | Iterable[tuple[Tuple[GradeLike, GradeLike], int]],
         level: int = 1,
     ):
-        if not isinstance(dim_n, int) or isinstance(dim_n, bool) or dim_n < 0:
-            raise ValidationError(f"dimension must be a nonnegative integer, got {dim_n!r}")
-        if not isinstance(level, int) or level < 1:
+        check_dim(dim_n)
+        if not is_int(level) or level < 1:
             raise ValidationError(f"level must be a positive integer, got {level!r}")
         items = entries.items() if isinstance(entries, Mapping) else entries
         cleaned: dict[GradeKey, int] = {}
         for (p_raw, q_raw), h in items:
-            if not isinstance(h, int) or isinstance(h, bool):
+            if not is_int(h):
                 raise ValidationError(f"dimension h^{{{p_raw},{q_raw}}} must be an integer, got {h!r}")
             if h < 0:
                 raise ValidationError(f"negative dimension h^{{{p_raw},{q_raw}}} = {h}")
-            if h == 0:
-                continue
             p, q = as_grade(p_raw), as_grade(q_raw)
             if not (0 <= p <= dim_n and 0 <= q <= dim_n):
-                raise ValidationError(f"grade ({format_grade(p)},{format_grade(q)}) outside [0, {dim_n}]")
+                raise ValidationError(f"grade {_format_key((p, q))} outside [0, {dim_n}]")
             if (p - q).denominator != 1:
-                raise ValidationError(
-                    f"p - q must be an integer; got ({format_grade(p)},{format_grade(q)})"
-                )
+                raise ValidationError(f"p - q must be an integer; got {_format_key((p, q))}")
             cleaned[(p, q)] = cleaned.get((p, q), 0) + h
-        for (p, q) in cleaned:
+        super().__init__(dim_n, cleaned)
+        for (p, q) in self._map:
             level = math.lcm(level, p.denominator, q.denominator)
-        self._dim_n = dim_n
         self._level = level
-        self._entries = dict(sorted(cleaned.items()))
-
-    @property
-    def dim_n(self) -> int:
-        return self._dim_n
 
     @property
     def level(self) -> int:
         return self._level
 
-    @property
-    def entries(self) -> Mapping[GradeKey, int]:
-        """Read-only view of the normalized (p, q) -> h map."""
-        return MappingProxyType(self._entries)
+    entries = _SparseMap._view
 
     def entry(self, p: GradeLike, q: GradeLike) -> int:
         """h^{p,q}, with 0 for any absent key."""
-        return self._entries.get((as_grade(p), as_grade(q)), 0)
-
-    def items(self):
-        return self._entries.items()
-
-    def keys(self):
-        return self._entries.keys()
-
-    def total(self) -> int:
-        """Total dimension: the sum of all stored Hodge numbers."""
-        return sum(self._entries.values())
+        return self._map.get((as_grade(p), as_grade(q)), 0)
 
     def is_integer_graded(self) -> bool:
         """True when every stored bidegree is integral."""
-        return all(p.denominator == 1 and q.denominator == 1 for p, q in self._entries)
+        return all(p.denominator == 1 and q.denominator == 1 for p, q in self._map)
 
     @classmethod
     def projective_space(cls, n: int) -> "HodgeDiamond":
@@ -152,22 +194,8 @@ class HodgeDiamond:
     def point(cls) -> "HodgeDiamond":
         return cls.projective_space(0)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, HodgeDiamond):
-            return NotImplemented
-        return self._dim_n == other._dim_n and self._entries == other._entries
 
-    def __hash__(self) -> int:
-        return hash((self._dim_n, frozenset(self._entries.items())))
-
-    def __repr__(self) -> str:
-        body = ", ".join(
-            f"({format_grade(p)},{format_grade(q)}): {h}" for (p, q), h in self._entries.items()
-        )
-        return f"HodgeDiamond(dim_n={self._dim_n}, {{{body}}})"
-
-
-class ColumnVector:
+class ColumnVector(_SparseMap):
     """Diagonal sums of a diamond: cols[i] = sum of h^{p,q} over p - q = i.
 
     These are the graded dimensions of Hochschild homology, the basic
@@ -175,94 +203,45 @@ class ColumnVector:
     an absent column yields 0.
     """
 
-    __slots__ = ("_dim_n", "_cols")
+    __slots__ = ()
 
     def __init__(self, dim_n: int, cols: Mapping[int, int]):
-        if not isinstance(dim_n, int) or isinstance(dim_n, bool) or dim_n < 0:
-            raise ValidationError(f"dimension must be a nonnegative integer, got {dim_n!r}")
-        cleaned: dict[int, int] = {}
+        check_dim(dim_n)
         for i, v in cols.items():
-            if not isinstance(i, int) or isinstance(i, bool):
+            if not is_int(i):
                 raise ValidationError(f"column index must be an integer, got {i!r}")
             if not (-dim_n <= i <= dim_n):
                 raise ValidationError(f"column index {i} outside [-{dim_n}, {dim_n}]")
-            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+            if not is_int(v) or v < 0:
                 raise ValidationError(f"column value at {i} must be a nonnegative integer, got {v!r}")
-            if v:
-                cleaned[i] = v
-        self._dim_n = dim_n
-        self._cols = dict(sorted(cleaned.items()))
+        super().__init__(dim_n, cols)
 
-    @property
-    def dim_n(self) -> int:
-        return self._dim_n
-
-    @property
-    def cols(self) -> Mapping[int, int]:
-        return MappingProxyType(self._cols)
+    cols = _SparseMap._view
 
     def __getitem__(self, i: int) -> int:
-        return self._cols.get(i, 0)
-
-    def items(self):
-        return self._cols.items()
-
-    def total(self) -> int:
-        return sum(self._cols.values())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ColumnVector):
-            return NotImplemented
-        return self._dim_n == other._dim_n and self._cols == other._cols
-
-    def __hash__(self) -> int:
-        return hash((self._dim_n, frozenset(self._cols.items())))
-
-    def __repr__(self) -> str:
-        return f"ColumnVector(dim_n={self._dim_n}, {self._cols})"
+        return self._map.get(i, 0)
 
 
-class StringyPolynomial:
+class StringyPolynomial(_SparseMap):
     """Signed generating polynomial sum of +-h^{p,q} u^p v^q with rational exponents.
 
     Coefficients may be negative; zero coefficients are not stored.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
 
     def __init__(self, terms: Mapping[Tuple[GradeLike, GradeLike], int]):
         cleaned: dict[GradeKey, int] = {}
         for (p_raw, q_raw), c in terms.items():
-            if not isinstance(c, int) or isinstance(c, bool):
+            if not is_int(c):
                 raise ValidationError(f"coefficient at ({p_raw},{q_raw}) must be an integer, got {c!r}")
-            if c == 0:
-                continue
             cleaned[(as_grade(p_raw), as_grade(q_raw))] = c
-        self._terms = dict(sorted(cleaned.items()))
+        super().__init__(None, cleaned)
 
-    @property
-    def terms(self) -> Mapping[GradeKey, int]:
-        return MappingProxyType(self._terms)
+    terms = _SparseMap._view
 
     def coefficient(self, p: GradeLike, q: GradeLike) -> int:
-        return self._terms.get((as_grade(p), as_grade(q)), 0)
-
-    def items(self):
-        return self._terms.items()
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, StringyPolynomial):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
-
-    def __repr__(self) -> str:
-        body = ", ".join(
-            f"({format_grade(p)},{format_grade(q)}): {c}" for (p, q), c in self._terms.items()
-        )
-        return f"StringyPolynomial({{{body}}})"
+        return self._map.get((as_grade(p), as_grade(q)), 0)
 
 
 @dataclass(frozen=True)

@@ -2,15 +2,18 @@
 
 
 class OrbikitError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package; subclasses set the CLI `exit_code`."""
+    exit_code: int
 
 
 class ParseError(OrbikitError):
     """Input document is malformed: bad JSON, unknown fields, wrong value shapes."""
+    exit_code = 2
 
 
 class ValidationError(OrbikitError):
     """Structurally well-formed data violates a geometric invariant."""
+    exit_code = 3
 
 
 class PseudoReflectionError(ValidationError):
@@ -43,11 +46,14 @@ class NonGorensteinOrbifoldError(ValidationError):
 
 class DimensionMismatchError(OrbikitError):
     """Two diamonds of different complex dimension were compared."""
+    exit_code = 4
 
 
 class InconsistentError(OrbikitError):
     """No diamond with the required symmetries matches the given numeric data."""
+    exit_code = 1
 
 
 class UnsupportedDimensionError(OrbikitError):
     """The closed-form reconstruction only exists in dimension at most three."""
+    exit_code = 5

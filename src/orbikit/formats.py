@@ -20,52 +20,43 @@ Two document kinds, both a single top-level JSON object:
       {"name": "...", "dim": 2, "entries": [{"p": 0, "q": 0, "h": 1}, ...]}
 
 Grades are JSON integers or exact strings "a/b" in lowest terms, never
-decimals.  The optional sector field "count" repeats a sector that many
-times and is expanded at parse time; the core types never see it.  The
-parser is strict: unknown fields are errors.  Serialization is canonical
-(sectors sorted by order, exponents, label; entries sorted by p, q), so
-output re-parses and re-serializes to identical bytes.
+decimals; `as_grade` is the one parser.  The optional sector field "count"
+repeats a sector that many times and is expanded at parse time; the core
+types never see it.  The parser is strict: unknown fields, duplicate keys,
+non-UTF-8 input and overdeep nesting are errors.  Serialization is
+canonical (sectors sorted by order, exponents, label; entries sorted by
+p, q), so output re-parses and re-serializes to identical bytes.
 """
 
 from __future__ import annotations
 
 import json
-import re
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 from typing import Any
 
-from .diamond import Grade, HodgeDiamond, format_grade
-from .errors import ParseError
+from .diamond import Grade, HodgeDiamond, as_grade, format_grade, is_int
+from .errors import ParseError, ValidationError
 from .inertia import InertiaComponent, OrbifoldPresentation
 from .quotient import KummerSpec, ProjectiveQuotientSpec, build_kummer, build_projective_quotient
 
 
 def grade_to_json(g: Grade) -> int | str:
-    return g.numerator if g.denominator == 1 else f"{g.numerator}/{g.denominator}"
-
-
-_GRADE_RE = re.compile(r"-?\d+(/\d+)?$")
+    """A JSON integer for an integral grade, else its `format_grade` string."""
+    return g.numerator if g.denominator == 1 else format_grade(g)
 
 
 def grade_from_json(value: Any, where: str) -> Fraction:
-    if isinstance(value, bool):
-        raise ParseError(f"{where}: grade must be an integer or 'a/b' string, got {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        raise ParseError(f"{where}: decimal grades are not exact; write e.g. \"3/2\"")
-    if isinstance(value, str):
-        if not _GRADE_RE.match(value):
-            raise ParseError(f"{where}: grades must be written \"a/b\", got {value!r}")
-        try:
-            return Fraction(value)
-        except ZeroDivisionError as exc:
-            raise ParseError(f"{where}: zero denominator in grade {value!r}") from exc
-    raise ParseError(f"{where}: grade must be an integer or 'a/b' string, got {value!r}")
+    """`as_grade` of a JSON value, failing with a ParseError that names `where`."""
+    try:
+        return as_grade(value)
+    except ValidationError as exc:
+        raise ParseError(f"{where}: {exc}") from None
 
 
 def _require_int(value: Any, where: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not is_int(value):
         raise ParseError(f"{where}: expected an integer, got {value!r}")
     return value
 
@@ -204,8 +195,27 @@ def dumps(obj: dict) -> str:
     return json.dumps(obj, indent=2, ensure_ascii=True)
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+        raise ParseError(f"invalid JSON: duplicate key {key!r}")
+    return obj
+
+
 def loads(text: str) -> Any:
+    """Parse JSON text strictly: duplicate keys and overdeep nesting are ParseErrors."""
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
+
+
+def read_json(path: Path) -> Any:
+    """`loads` of a UTF-8 file; other encodings are ParseErrors."""
+    try:
+        return loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None

@@ -33,7 +33,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .diamond import Grade, HodgeDiamond
+from .diamond import Grade, HodgeDiamond, is_int
 from .errors import OutOfRangeError, PseudoReflectionError, ValidationError
 
 
@@ -60,11 +60,11 @@ class InertiaComponent:
         coarse_diamond: HodgeDiamond,
         label: str = "",
     ):
-        if not isinstance(order_l, int) or isinstance(order_l, bool) or order_l < 1:
+        if not is_int(order_l) or order_l < 1:
             raise ValidationError(f"sector order must be a positive integer, got {order_l!r}")
         exps = tuple(exponents)
         for a in exps:
-            if not isinstance(a, int) or isinstance(a, bool):
+            if not is_int(a):
                 raise ValidationError(f"exponents must be integers, got {a!r}")
             if not (0 <= a <= order_l - 1):
                 raise ValidationError(f"exponent {a} outside [0, {order_l - 1}] for order {order_l}")
@@ -154,7 +154,7 @@ class OrbifoldPresentation:
     __slots__ = ("_dim_n", "_components", "_name")
 
     def __init__(self, dim_n: int, components: Iterable[InertiaComponent], name: str = ""):
-        if not isinstance(dim_n, int) or isinstance(dim_n, bool) or dim_n < 0:
+        if not is_int(dim_n) or dim_n < 0:
             raise ValidationError(f"ambient dimension must be a nonnegative integer, got {dim_n!r}")
         comps = tuple(components)
         if not comps:
@@ -265,6 +265,6 @@ def extract_h0q(p: OrbifoldPresentation, q: int) -> int:
     reach the p = 0 edge, so h^{0,q}_orb equals h^{0,q} of the untwisted
     coarse space (a birational invariant of it).
     """
-    if not isinstance(q, int) or isinstance(q, bool) or not (0 <= q <= p.dim_n):
+    if not is_int(q) or not (0 <= q <= p.dim_n):
         raise ValidationError(f"q must be an integer in [0, {p.dim_n}], got {q!r}")
     return p.untwisted.coarse_diamond.entry(0, q)

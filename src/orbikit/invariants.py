@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .diamond import ColumnVector, HodgeDiamond, columns, format_grade
+from .diamond import ColumnVector, HodgeDiamond, check_dim, columns, format_grade, is_int
 from .errors import (
     DimensionMismatchError,
     InconsistentError,
@@ -200,15 +200,14 @@ def reconstruct_gorenstein(
     """
     if n is None:
         n = c.dim_n
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValidationError(f"dimension must be a nonnegative integer, got {n!r}")
+    check_dim(n)
     if n != c.dim_n:
         raise InconsistentError(f"columns are for dimension {c.dim_n}, not {n}")
     if n > 3:
         raise UnsupportedDimensionError(
             f"closed-form reconstruction only exists for dimension <= 3, got {n}"
         )
-    if h01 is not None and (not isinstance(h01, int) or isinstance(h01, bool) or h01 < 0):
+    if h01 is not None and (not is_int(h01) or h01 < 0):
         raise ValidationError(f"h01 must be a nonnegative integer, got {h01!r}")
     for i in range(1, n + 1):
         if c[i] != c[-i]:

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from itertools import product
 
-from .diamond import HodgeDiamond
+from .diamond import HodgeDiamond, is_int
 from .errors import (
     DimensionTooSmallError,
     GroupTooLargeError,
@@ -51,11 +51,11 @@ class ProjectiveQuotientSpec:
 
     def __post_init__(self):
         n = self.proj_dim_n
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        if not is_int(n) or n < 1:
             raise ValidationError(f"projective dimension must be a positive integer, got {n!r}")
         orders = tuple(self.cyclic_orders)
         for m in orders:
-            if not isinstance(m, int) or isinstance(m, bool) or m < 1:
+            if not is_int(m) or m < 1:
                 raise ValidationError(f"cyclic orders must be positive integers, got {m!r}")
         rows = tuple(tuple(row) for row in self.weights)
         if len(rows) != len(orders):
@@ -69,7 +69,7 @@ class ProjectiveQuotientSpec:
                     f"weight row {row} has {len(row)} entries, expected {n + 1}"
                 )
             for w in row:
-                if not isinstance(w, int) or isinstance(w, bool):
+                if not is_int(w):
                     raise ValidationError(f"weights must be integers, got {w!r}")
             reduced.append(tuple(w % m for w in row))
         object.__setattr__(self, "cyclic_orders", orders)
@@ -88,7 +88,7 @@ class KummerSpec:
 
     def __post_init__(self):
         n = self.torus_dim_n
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        if not is_int(n) or n < 1:
             raise ValidationError(f"torus dimension must be a positive integer, got {n!r}")
         if n < 2:
             raise DimensionTooSmallError(

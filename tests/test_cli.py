@@ -113,6 +113,28 @@ class TestExitCodes:
         code, _, err = run_cli("diamond", str(bad))
         assert code == 2
 
+    HOSTILE_JSON = {
+        "duplicate_keys": (b'{"name": "a", "name": "b", "dim": 2, "sectors": []}', "duplicate key 'name'"),
+        "non_utf8": (b'{"name": "\xff\xfe", "dim": 2}', "not UTF-8"),
+        "deep_nesting": (b"[" * 100_000 + b"]" * 100_000, "nested too deeply"),
+    }
+
+    @pytest.mark.parametrize("name", HOSTILE_JSON)
+    def test_hostile_json_is_two(self, tmp_path, monkeypatch, name):
+        data, message = self.HOSTILE_JSON[name]
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(data)
+        code, out, err = run_cli("diamond", str(path))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ParseError: ") and message in err
+        # A user catalog entry is read by the same strict reader.
+        monkeypatch.setenv("ORBIKIT_CATALOG_DIR", str(tmp_path))
+        assert run_cli("diamond", name)[:2] == (2, "")
+
+    def test_directory_path_is_two(self, tmp_path):
+        code, _, err = run_cli("diamond", str(tmp_path))
+        assert code == 2 and err == f"error: ParseError: {tmp_path}: not a regular file\n"
+
     def test_partners_incompatible_is_one(self, tmp_path, k3_diamond):
         entries = dict(k3_diamond.items())
         entries[(1, 1)] = 19

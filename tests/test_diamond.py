@@ -39,6 +39,7 @@ def diamonds(draw):
 def test_as_grade_accepts_exact_forms():
     assert as_grade(2) == Fraction(2)
     assert as_grade("3/2") == Fraction(3, 2)
+    assert as_grade("-1/3") == Fraction(-1, 3) and as_grade("4") == Fraction(4)
     assert as_grade(Fraction(1, 3)) == Fraction(1, 3)
 
 
@@ -49,6 +50,12 @@ def test_as_grade_rejects_floats_and_junk():
         as_grade("x/y")
     with pytest.raises(ValidationError):
         as_grade(True)
+
+
+@pytest.mark.parametrize("text", ["1.5", "1e0", "3/2\n", "2/4", "1/0", "-3/-2", "\u0663"])
+def test_as_grade_rejects_text_outside_lowest_terms(text):
+    with pytest.raises(ValidationError):
+        as_grade(text)
 
 
 class TestHodgeDiamond:

@@ -32,8 +32,10 @@ class TestGrades:
         assert grade_to_json(Fraction(3, 2)) == "3/2"
         assert grade_from_json("3/2", "t") == Fraction(3, 2)
 
-    def test_non_lowest_terms_accepted_and_normalized(self):
-        assert grade_from_json("2/4", "t") == Fraction(1, 2)
+    def test_non_lowest_terms_rejected(self):
+        for text in ["2/4", "4/2", "3/2\n", " 3/2", "+3/2"]:
+            with pytest.raises(ParseError, match="^t: "):
+                grade_from_json(text, "t")
 
     def test_decimals_rejected(self):
         with pytest.raises(ParseError):
@@ -192,6 +194,8 @@ class TestOrbifoldFiles:
     def test_invalid_json_text(self):
         with pytest.raises(ParseError):
             loads("{not json")
+        with pytest.raises(ParseError, match="duplicate key 'p'"):
+            loads('[{"p": 0, "q": 0, "h": 1, "p": 1}]')
 
     def test_canonical_sector_sorting(self, kummer2):
         obj = presentation_to_obj(kummer2)
