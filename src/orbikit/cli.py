@@ -2,8 +2,9 @@
 
 Exit codes (the error types' `exit_code`) are stable: 0 success/compatible,
 1 a requested check failed or the inputs are incompatible/inconsistent, 2
-parse error (including unknown catalog entries and non-file paths), 3
-validation error, 4 dimension mismatch, 5 unsupported dimension range.
+parse error (including unknown catalog entries and unreadable or non-file
+paths), 3 validation error, 4 dimension mismatch, 5 unsupported dimension
+range.
 Machine output is exact: integers and "a/b" strings, never floats.
 """
 
@@ -31,7 +32,11 @@ def _load_presentation(source: str, diamond_files: bool = False) -> OrbifoldPres
     `diamond_files` is returned as the (name, diamond) pair it holds.
     """
     path = Path(source)
-    if path.is_file():
+    try:
+        is_file = path.is_file()
+    except OSError as exc:  # e.g. a name too long for the file system
+        raise ParseError(f"{source}: not a usable path ({exc.strerror})") from None
+    if is_file:
         obj = read_json(path)
         if not (isinstance(obj, dict) and "entries" in obj):
             return presentation_from_obj(obj)

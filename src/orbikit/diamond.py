@@ -284,17 +284,17 @@ def stringy_e(presentation: "OrbifoldPresentation") -> StringyPolynomial:
     """Stringy E-polynomial of an orbifold presentation.
 
     Each sector with age a and coarse-space Hodge numbers h^{p',q'}
-    contributes (-1)^{p'+q'} h^{p',q'} at (p'+a, q'+a).  The sign is taken
+    contributes (-1)^{p'+q'} h^{p',q'} at (p'+a, q'+a), once per copy.  The sign is taken
     from the integer bidegrees of the underlying variety before shifting,
     since (-1)^{p+q} is ill-defined for fractional exponents.  For
     Gorenstein quotient singularities the result agrees with Batyrev's
     stringy invariant.
     """
     terms: dict[GradeKey, int] = {}
-    for c in presentation.components:
+    for c, count in presentation.sectors:
         a = c.age()
         for (p, q), h in c.coarse_diamond.items():
-            sign = -1 if (int(p) + int(q)) % 2 else 1
+            sign = -count if (int(p) + int(q)) % 2 else count
             key = (p + a, q + a)
             terms[key] = terms.get(key, 0) + sign * h
     return StringyPolynomial(terms)

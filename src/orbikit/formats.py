@@ -21,11 +21,12 @@ Two document kinds, both a single top-level JSON object:
 
 Grades are JSON integers or exact strings "a/b" in lowest terms, never
 decimals; `as_grade` is the one parser.  The optional sector field "count"
-repeats a sector that many times and is expanded at parse time; the core
-types never see it.  The parser is strict: unknown fields, duplicate keys,
-non-UTF-8 input and overdeep nesting are errors.  Serialization is
-canonical (sectors sorted by order, exponents, label; entries sorted by
-p, q), so output re-parses and re-serializes to identical bytes.
+is the sector's multiplicity: it is kept, not expanded, as the count of a
+(component, count) pair, and canonical output writes it back when it is
+above 1.  The parser is strict: unknown fields, duplicate keys, non-UTF-8
+input and overdeep nesting are errors.  Serialization is canonical
+(sectors sorted by order, exponents, label, never merged; entries sorted
+by p, q), so output re-parses and re-serializes to identical bytes.
 """
 
 from __future__ import annotations
@@ -115,7 +116,7 @@ def presentation_from_obj(obj: Any) -> OrbifoldPresentation:
     raw_sectors = obj["sectors"]
     if not isinstance(raw_sectors, list):
         raise ParseError("sectors: expected a list")
-    components: list[InertiaComponent] = []
+    components: list[tuple[InertiaComponent, int]] = []
     for k, sector in enumerate(raw_sectors):
         where = f"sectors[{k}]"
         _require_keys(sector, {"order", "exponents", "diamond"}, {"count", "label"}, where)
@@ -132,7 +133,7 @@ def presentation_from_obj(obj: Any) -> OrbifoldPresentation:
         coarse_dim = sum(1 for a in exponents if a == 0)
         coarse = HodgeDiamond(coarse_dim, entries)
         component = InertiaComponent(order, exponents, coarse, label=label)
-        components.extend([component] * count)
+        components.append((component, count))
     return OrbifoldPresentation(dim, components, name=name)
 
 
@@ -165,12 +166,14 @@ def _presentation_from_generator(obj: dict) -> OrbifoldPresentation:
 def presentation_to_obj(p: OrbifoldPresentation) -> dict:
     """Canonical orbifold file object: explicit sectors, canonically sorted."""
     sectors = []
-    for c in sorted(p.components, key=lambda c: c.sort_key()):
+    for c, count in sorted(p.sectors, key=lambda s: s[0].sort_key()):
         sector: dict = {
             "order": c.order_l,
             "exponents": list(c.exponents),
             "diamond": _entries_to_json(c.coarse_diamond),
         }
+        if count > 1:
+            sector["count"] = count
         if c.label:
             sector["label"] = c.label
         sectors.append(sector)
@@ -214,8 +217,11 @@ def loads(text: str) -> Any:
 
 
 def read_json(path: Path) -> Any:
-    """`loads` of a UTF-8 file; other encodings are ParseErrors."""
+    """`loads` of a UTF-8 file; other encodings and unreadable paths are ParseErrors."""
     try:
-        return loads(path.read_text(encoding="utf-8"))
+        text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot read ({exc.strerror})") from None
+    return loads(text)

@@ -29,7 +29,6 @@ singularities are Gorenstein, and fractional bidegrees appear otherwise.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -146,42 +145,51 @@ class InertiaComponent:
 class OrbifoldPresentation:
     """Full inertia data of one orbifold: untwisted sector plus twisted components.
 
-    Exactly one component has order 1, and every component's exponent
-    list has length equal to the ambient dimension.  Components standing
-    for several isomorphic sectors are simply repeated in the list.
+    Sectors are (component, count) pairs: `count` isomorphic copies of one
+    component, stored once.  The constructor takes components (count 1) or
+    pairs, kept as given in input order; equality compares the merged
+    multisets.  The untwisted counts add up to exactly one, and every
+    component's exponent list has length equal to the ambient dimension.
     """
 
-    __slots__ = ("_dim_n", "_components", "_name")
+    __slots__ = ("_dim_n", "_sectors", "_name", "_multiset")
 
-    def __init__(self, dim_n: int, components: Iterable[InertiaComponent], name: str = ""):
+    def __init__(self, dim_n: int, components: Iterable[InertiaComponent | tuple[InertiaComponent, int]], name: str = ""):
         if not is_int(dim_n) or dim_n < 0:
             raise ValidationError(f"ambient dimension must be a nonnegative integer, got {dim_n!r}")
-        comps = tuple(components)
-        if not comps:
+        sectors = tuple(s if isinstance(s, tuple) and len(s) == 2 else (s, 1) for s in components)
+        if not sectors:
             raise ValidationError("a presentation needs at least the untwisted sector")
-        for c in comps:
+        for c, count in sectors:
             if not isinstance(c, InertiaComponent):
                 raise ValidationError("components must be InertiaComponent instances")
+            if not is_int(count) or count < 1:
+                raise ValidationError(f"sector count must be a positive integer, got {count!r}")
             if len(c.exponents) != dim_n:
                 raise ValidationError(
                     f"component {c.label!r} has {len(c.exponents)} exponents, ambient dimension is {dim_n}"
                 )
-        untwisted = [c for c in comps if c.is_untwisted]
-        if len(untwisted) != 1:
-            raise ValidationError(
-                f"exactly one untwisted sector required, found {len(untwisted)}"
-            )
+        untwisted = sum(count for c, count in sectors if c.is_untwisted)
+        if untwisted != 1:
+            raise ValidationError(f"exactly one untwisted sector required, found {untwisted}")
         self._dim_n = dim_n
-        self._components = comps
+        self._sectors = sectors
         self._name = str(name)
+        self._multiset = None
 
     @property
     def dim_n(self) -> int:
         return self._dim_n
 
     @property
+    def sectors(self) -> tuple[tuple[InertiaComponent, int], ...]:
+        """The (component, count) pairs, in input order."""
+        return self._sectors
+
+    @property
     def components(self) -> tuple[InertiaComponent, ...]:
-        return self._components
+        """Every sector, each repeated `count` times; built on each call."""
+        return tuple(c for c, count in self._sectors for _ in range(count))
 
     @property
     def name(self) -> str:
@@ -189,30 +197,36 @@ class OrbifoldPresentation:
 
     @property
     def untwisted(self) -> InertiaComponent:
-        return next(c for c in self._components if c.is_untwisted)
+        return next(c for c, _ in self._sectors if c.is_untwisted)
 
     @property
     def twisted(self) -> tuple[InertiaComponent, ...]:
-        return tuple(c for c in self._components if not c.is_untwisted)
+        return tuple(c for c, count in self._sectors if not c.is_untwisted for _ in range(count))
+
+    def _counts(self) -> frozenset:
+        # Order and splitting of the pairs are presentation-irrelevant.
+        if self._multiset is None:
+            merged: dict[InertiaComponent, int] = {}
+            for c, count in self._sectors:
+                merged[c] = merged.get(c, 0) + count
+            self._multiset = frozenset(merged.items())
+        return self._multiset
 
     def __eq__(self, other) -> bool:
-        # Component order is presentation-irrelevant: compare as multisets.
         if not isinstance(other, OrbifoldPresentation):
             return NotImplemented
         return (
             self._dim_n == other._dim_n
             and self._name == other._name
-            and Counter(self._components) == Counter(other._components)
+            and self._counts() == other._counts()
         )
 
     def __hash__(self) -> int:
-        return hash((self._dim_n, self._name, frozenset(Counter(self._components).items())))
+        return hash((self._dim_n, self._name, self._counts()))
 
     def __repr__(self) -> str:
-        return (
-            f"OrbifoldPresentation(name={self._name!r}, dim_n={self._dim_n}, "
-            f"{len(self._components)} components)"
-        )
+        total = sum(count for _, count in self._sectors)
+        return f"OrbifoldPresentation(name={self._name!r}, dim_n={self._dim_n}, {total} components)"
 
 
 def age(c: InertiaComponent) -> Grade:
@@ -226,15 +240,16 @@ def is_gorenstein(p: OrbifoldPresentation) -> bool:
     Equivalent to all local groups acting through SL, and to the assembled
     diamond having integer grades only.
     """
-    return all(c.age().denominator == 1 for c in p.components)
+    return all(c.age().denominator == 1 for c, _ in p.sectors)
 
 
 def assemble_diamond(p: OrbifoldPresentation) -> HodgeDiamond:
     """Orbifold Hodge diamond: coarse entries of all sectors, age-shifted.
 
     h^{p,q}_orb = sum over sectors Z of h^{p - a(Z), q - a(Z)}(Z), realized
-    by adding each coarse entry (p', q') at (p' + a, q' + a).  The level of
-    the result is the lcm of the sector orders.
+    by adding each coarse entry (p', q') times the sector's count at
+    (p' + a, q' + a).  The level of the result is the lcm of the sector
+    orders.
 
     Raises OutOfRangeError if a shifted grade leaves [0, n].  Data passing
     component validation can never trigger this (the shift is strictly
@@ -244,7 +259,7 @@ def assemble_diamond(p: OrbifoldPresentation) -> HodgeDiamond:
     n = p.dim_n
     entries: dict[tuple[Grade, Grade], int] = {}
     level = 1
-    for c in p.components:
+    for c, count in p.sectors:
         level = math.lcm(level, c.order_l)
         a = c.age()
         for (pp, qq), h in c.coarse_diamond.items():
@@ -254,7 +269,7 @@ def assemble_diamond(p: OrbifoldPresentation) -> HodgeDiamond:
                     f"sector {c.label!r} shifts ({pp},{qq}) to "
                     f"({sp},{sq}) outside [0, {n}]"
                 )
-            entries[(sp, sq)] = entries.get((sp, sq), 0) + h
+            entries[(sp, sq)] = entries.get((sp, sq), 0) + h * count
     return HodgeDiamond(n, entries, level=level)
 
 

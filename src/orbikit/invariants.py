@@ -169,9 +169,9 @@ def hochschild_via_sectors(p: OrbifoldPresentation) -> ColumnVector:
     vectors of the coarse sector diamonds.
     """
     total: dict[int, int] = {}
-    for c in p.components:
+    for c, count in p.sectors:
         for i, v in columns(c.coarse_diamond).items():
-            total[i] = total.get(i, 0) + v
+            total[i] = total.get(i, 0) + v * count
     return ColumnVector(p.dim_n, total)
 
 

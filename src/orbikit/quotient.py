@@ -151,13 +151,13 @@ def build_projective_quotient(
     if order > max_group_order:
         raise GroupTooLargeError(f"group order {order} exceeds the limit {max_group_order}")
     big = math.lcm(1, *spec.cyclic_orders)
+    # Every fixed component is a P^k, k <= n: one shared diamond per k.
+    coarse = [HodgeDiamond.projective_space(k) for k in range(n + 1)]
 
     components: list[InertiaComponent] = []
     for t in product(*(range(m) for m in spec.cyclic_orders)):
         if not any(t):
-            components.append(
-                InertiaComponent(1, (0,) * n, HodgeDiamond.projective_space(n), label="untwisted")
-            )
+            components.append(InertiaComponent(1, (0,) * n, coarse[n], label="untwisted"))
             continue
         eig = _eigenvalue_exponents(spec, t, big)
         if len(set(eig)) == 1:
@@ -190,7 +190,7 @@ def build_projective_quotient(
                 InertiaComponent(
                     l,
                     exponents,
-                    HodgeDiamond.projective_space(d - 1),
+                    coarse[d - 1],
                     label=f"g=({t_label}) eig={chi}",
                 )
             )
@@ -207,17 +207,14 @@ def build_kummer(spec: KummerSpec | int, name: str | None = None) -> OrbifoldPre
 
     The 2^{2n} two-torsion points are the fixed locus of the involution;
     each gives an order-2 point sector with exponents (1, ..., 1) and age
-    n/2.  Accepts either a KummerSpec or the dimension n directly.
+    n/2, stored once with count 4^n.  Accepts either a KummerSpec or the
+    dimension n directly.
     """
     if isinstance(spec, int):
         spec = KummerSpec(spec)
     n = spec.torus_dim_n
     components = [
-        InertiaComponent(1, (0,) * n, torus_invariant_diamond(n), label="untwisted")
+        InertiaComponent(1, (0,) * n, torus_invariant_diamond(n), label="untwisted"),
+        (InertiaComponent(2, (1,) * n, HodgeDiamond.point(), label="2-torsion point"), 4**n),
     ]
-    point = HodgeDiamond.point()
-    components.extend(
-        InertiaComponent(2, (1,) * n, point, label="2-torsion point")
-        for _ in range(4**n)
-    )
     return OrbifoldPresentation(n, components, name=name if name is not None else f"kummer{n}")

@@ -135,6 +135,18 @@ class TestExitCodes:
         code, _, err = run_cli("diamond", str(tmp_path))
         assert code == 2 and err == f"error: ParseError: {tmp_path}: not a regular file\n"
 
+    def test_directory_catalog_entry_is_two(self, tmp_path, monkeypatch):
+        (tmp_path / "x.json").mkdir()
+        monkeypatch.setenv("ORBIKIT_CATALOG_DIR", str(tmp_path))
+        code, out, err = run_cli("diamond", "x")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ParseError: ") and "x.json" in err
+
+    def test_overlong_source_name_is_two(self):
+        code, out, err = run_cli("diamond", "a" * 5000)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ParseError: ")
+
     def test_partners_incompatible_is_one(self, tmp_path, k3_diamond):
         entries = dict(k3_diamond.items())
         entries[(1, 1)] = 19
@@ -194,6 +206,18 @@ class TestInputs:
         assert code == 0 and "myorb" in out
         code, out, _ = run_cli("diamond", "myorb", "--format", "json")
         assert code == 0 and json.loads(out)["name"] == "myorb"
+
+    def test_huge_count_is_not_expanded(self, tmp_path):
+        torus = [{"p": 0, "q": 0, "h": 1}, {"p": 2, "q": 0, "h": 1}, {"p": 0, "q": 2, "h": 1},
+                 {"p": 1, "q": 1, "h": 4}, {"p": 2, "q": 2, "h": 1}]
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"name": "huge", "dim": 2, "sectors": [
+            {"order": 1, "exponents": [0, 0], "diamond": torus},
+            {"order": 2, "exponents": [1, 1], "diamond": [{"p": 0, "q": 0, "h": 1}], "count": 10**9},
+        ]}))
+        code, out, err = run_cli("diamond", str(path), "--format", "json")
+        assert code == 0 and err == ""
+        assert {"p": 1, "q": 1, "h": 4 + 10**9} in json.loads(out)["entries"]
 
     def test_strict_flag(self):
         code, out, _ = run_cli("partners", "p2_mu3", "p2_mu3", "--strict-dim3")

@@ -137,6 +137,24 @@ class TestOrbifoldFiles:
         assert p == kummer2
         assert assemble_diamond(p) == K3_DIAMOND
 
+    def test_count_is_kept_and_written_back(self):
+        from orbikit import build_kummer
+
+        p = build_kummer(6)
+        obj = presentation_to_obj(p)
+        assert [s.get("count", 1) for s in obj["sectors"]] == [1, 4096]
+        assert len(dumps(obj)) < 2500  # 2 395 bytes; 1.07 MB when every sector was listed
+        again = presentation_from_obj(loads(dumps(obj)))
+        assert again == p and len(again.sectors) == 2
+        assert dumps(presentation_to_obj(again)) == dumps(obj)
+
+    def test_pairs_are_not_merged_on_output(self, kummer2):
+        obj = presentation_to_obj(kummer2)
+        twice = {**obj, "sectors": [obj["sectors"][0]] + [{**obj["sectors"][1], "count": 8}] * 2}
+        p = presentation_from_obj(twice)
+        assert p == kummer2
+        assert presentation_to_obj(p) == twice
+
     def test_generator_kummer(self, kummer2):
         p = presentation_from_obj({"family": "kummer", "params": {"torus_dim_n": 2}, "name": "kummer2"})
         assert p == kummer2

@@ -15,8 +15,11 @@ from orbikit import (
     check_symmetries,
     columns,
     extract_h0q,
+    hochschild_via_sectors,
     is_gorenstein,
+    stringy_e,
 )
+from orbikit.formats import presentation_from_obj, presentation_to_obj
 from support import K3_DIAMOND, KUMMER3_DIAMOND, random_presentation
 
 POINT = HodgeDiamond.point()
@@ -107,6 +110,52 @@ class TestPresentationValidation:
         assert p1 != p2
 
 
+class TestMultiplicities:
+    @staticmethod
+    def both_forms(rng, p):
+        """`p` with random counts, once from repeated components and once
+        from (component, count) pairs, some split in two."""
+        counts = [1 if c.is_untwisted else rng.randint(1, 4) for c in p.components]
+        repeated = [c for c, k in zip(p.components, counts) for _ in range(k)]
+        pairs = []
+        for c, k in zip(p.components, counts):
+            pairs += [(c, k)] if k < 2 or rng.random() < 0.5 else [(c, 1), (c, k - 1)]
+        rng.shuffle(pairs)
+        return (
+            OrbifoldPresentation(p.dim_n, repeated, name=p.name),
+            OrbifoldPresentation(p.dim_n, pairs, name=p.name),
+        )
+
+    def test_pairs_agree_with_repeated_components(self, rng):
+        for _ in range(25):
+            a, b = self.both_forms(rng, random_presentation(rng))
+            assert a == b and hash(a) == hash(b)
+            assert len(a.components) == len(b.components)
+            assert assemble_diamond(a) == assemble_diamond(b)
+            assert assemble_diamond(b).total() == sum(k * c.coarse_diamond.total() for c, k in b.sectors)
+            assert assemble_diamond(a).level == assemble_diamond(b).level
+            assert stringy_e(a) == stringy_e(b)
+            assert hochschild_via_sectors(a) == hochschild_via_sectors(b)
+            assert is_gorenstein(a) == is_gorenstein(b)
+            for p in (a, b):
+                assert presentation_from_obj(presentation_to_obj(p)) == p
+
+    def test_count_is_part_of_equality(self):
+        a = InertiaComponent(2, (1, 1), POINT, label="a")
+        twice = OrbifoldPresentation(2, [untwisted(2), a, a])
+        assert twice == OrbifoldPresentation(2, [untwisted(2), (a, 2)]) != OrbifoldPresentation(2, [untwisted(2), (a, 3)])
+
+    @pytest.mark.parametrize("count", [0, -1, True, 1.0])
+    def test_bad_count_rejected(self, count):
+        a = InertiaComponent(2, (1, 1), POINT)
+        with pytest.raises(ValidationError, match="count"):
+            OrbifoldPresentation(2, [untwisted(2), (a, count)])
+
+    def test_untwisted_count_must_be_one(self):
+        with pytest.raises(ValidationError, match="found 2"):
+            OrbifoldPresentation(2, [(untwisted(2), 2)])
+
+
 class TestIsGorenstein:
     def test_untwisted_only(self):
         assert is_gorenstein(OrbifoldPresentation(2, [untwisted(2)]))
@@ -181,7 +230,7 @@ class TestAssembleDiamond:
             label="rogue",
             is_untwisted=False,
         )
-        fake = SimpleNamespace(dim_n=2, components=(rogue,))
+        fake = SimpleNamespace(dim_n=2, sectors=((rogue, 1),))
         with pytest.raises(OutOfRangeError):
             assemble_diamond(fake)
 

@@ -211,6 +211,21 @@ class TestKummer:
     def test_accepts_spec_or_int(self):
         assert build_kummer(KummerSpec(2)) == build_kummer(2)
 
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_stored_once_expanded_on_demand(self, n):
+        p = build_kummer(n)
+        assert [k for _, k in p.sectors] == [1, 4**n]
+        assert len(p.components) == 4**n + 1
+        assert len(p.twisted) == 4**n
+
+    def test_dimension_twenty_stays_small(self):
+        # 4^20 + 1 sectors, 2 of them distinct; never expanded.
+        p = build_kummer(20)
+        assert len(p.sectors) == 2
+        d = assemble_diamond(p)
+        assert d.entry(10, 10) == math.comb(20, 10) ** 2 + 4**20
+        assert d.total() == 2**39 + 4**20
+
     def test_higher_dimension_sector_count(self):
         p = build_kummer(4)
         assert len(p.components) == 1 + 2**8
