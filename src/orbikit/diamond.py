@@ -4,8 +4,9 @@ A diamond is a sparse map (p, q) -> h^{p,q} with positive integer values
 and exact rational bidegrees 0 <= p, q <= n.  Fractional bidegrees occur
 for orbifolds with non-Gorenstein quotient singularities, where twisted
 sectors shift cohomology by a fractional age; p - q nevertheless stays an
-integer because both coordinates shift by the same amount.  All arithmetic
-uses `fractions.Fraction`; no floating point appears anywhere in this
+integer because both coordinates shift by the same amount.  Assembly sums
+the shifted grades as integers on the lattice (1/level)Z and exposes them
+as exact `fractions.Fraction`s; no floating point appears anywhere in this
 package.
 
 Besides the diamond itself the module provides its two classical
@@ -23,7 +24,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Mapping, Tuple, Union
 
-from .errors import ValidationError
+from .errors import OutOfRangeError, ValidationError
 
 if TYPE_CHECKING:
     from .inertia import OrbifoldPresentation
@@ -84,14 +85,15 @@ class _SparseMap:
     Subclasses validate their entries and pass them to `_SparseMap.__init__`,
     which drops zeros and sorts.  Equality and hashing see the class, `dim_n`
     (None for StringyPolynomial, which has no dimension) and the map;
-    nothing else.  Instances are immutable.
+    nothing else.  Instances are immutable, so the hash is computed once.
     """
 
-    __slots__ = ("_dim_n", "_map")
+    __slots__ = ("_dim_n", "_map", "_hash")
 
     def __init__(self, dim_n: int | None, cleaned: Mapping):
         self._dim_n = dim_n
         self._map = {k: v for k, v in sorted(cleaned.items()) if v}
+        self._hash = None
 
     @property
     def dim_n(self) -> int | None:
@@ -118,7 +120,9 @@ class _SparseMap:
         return self._dim_n == other._dim_n and self._map == other._map
 
     def __hash__(self) -> int:
-        return hash((self._dim_n, frozenset(self._map.items())))
+        if self._hash is None:
+            self._hash = hash((self._dim_n, frozenset(self._map.items())))
+        return self._hash
 
     def __repr__(self) -> str:
         body = ", ".join(f"{_format_key(k)}: {v}" for k, v in self._map.items())
@@ -161,15 +165,16 @@ class HodgeDiamond(_SparseMap):
             if h < 0:
                 raise ValidationError(f"negative dimension h^{{{p_raw},{q_raw}}} = {h}")
             p, q = as_grade(p_raw), as_grade(q_raw)
-            if not (0 <= p <= dim_n and 0 <= q <= dim_n):
+            # Integer forms of 0 <= p, q <= n and of p - q being an integer,
+            # which for grades in lowest terms means one shared denominator b.
+            b = p.denominator
+            if not (0 <= p.numerator <= dim_n * b and 0 <= q.numerator <= dim_n * q.denominator):
                 raise ValidationError(f"grade {_format_key((p, q))} outside [0, {dim_n}]")
-            if (p - q).denominator != 1:
+            if q.denominator != b or (p.numerator - q.numerator) % b:
                 raise ValidationError(f"p - q must be an integer; got {_format_key((p, q))}")
             cleaned[(p, q)] = cleaned.get((p, q), 0) + h
         super().__init__(dim_n, cleaned)
-        for (p, q) in self._map:
-            level = math.lcm(level, p.denominator, q.denominator)
-        self._level = level
+        self._level = math.lcm(level, *{p.denominator for p, _ in self._map})
 
     @property
     def level(self) -> int:
@@ -244,6 +249,37 @@ class StringyPolynomial(_SparseMap):
         return self._map.get((as_grade(p), as_grade(q)), 0)
 
 
+def shifted_sum(presentation: "OrbifoldPresentation", signed: bool = False) -> tuple[int, list[tuple[GradeKey, int]]]:
+    """Sum every sector's coarse entries, age-shifted, on the lattice (1/level)Z.
+
+    Returns the level (lcm of the sector orders) and the nonzero items,
+    sorted by key, of (p' + a, q' + a) -> sum of h^{p',q'} times the count; with
+    `signed`, each term carries (-1)^{p'+q'}.  A grade x is summed as the
+    integer x*level, and each distinct numerator becomes a `Fraction` once
+    at the end.  Raises OutOfRangeError if a shifted grade leaves [0, n].
+    """
+    n = presentation.dim_n
+    level = math.lcm(*(c.order_l for c, _ in presentation.sectors))
+    top = n * level
+    acc: dict[tuple[int, int], int] = {}
+    for c, count in presentation.sectors:
+        a = c.age()
+        shift = a.numerator * (level // a.denominator)
+        for (p, q), h in c.coarse_diamond.items():
+            pp, qq = p.numerator, q.numerator
+            if signed and (pp + qq) % 2:
+                h = -h
+            kp, kq = pp * level + shift, qq * level + shift
+            if not (0 <= kp <= top and 0 <= kq <= top):
+                raise OutOfRangeError(
+                    f"sector {c.label!r} shifts ({pp},{qq}) to "
+                    f"{_format_key((Fraction(kp, level), Fraction(kq, level)))} outside [0, {n}]"
+                )
+            acc[(kp, kq)] = acc.get((kp, kq), 0) + h * count
+    grade = {k: Fraction(k, level) for k in {k for key in acc for k in key}}
+    return level, [((grade[kp], grade[kq]), h) for (kp, kq), h in sorted(acc.items()) if h]
+
+
 @dataclass(frozen=True)
 class SymmetryReport:
     serre: bool
@@ -264,8 +300,13 @@ def check_symmetries(d: HodgeDiamond) -> SymmetryReport:
     enforced so that raw, possibly non-Kaehler-style data can still be
     inspected.
     """
-    hodge = all(d.entry(q, p) == h for (p, q), h in d.items())
-    return SymmetryReport(serre=(d == serre_dual(d)), hodge=hodge)
+    n = d.dim_n
+    # p and q of a key share their denominator b because p - q is an integer.
+    ints = {(p.numerator, q.numerator, p.denominator): h for (p, q), h in d.items()}
+    return SymmetryReport(
+        serre=all(ints.get((n * b - a, n * b - c, b)) == h for (a, c, b), h in ints.items()),
+        hodge=all(ints.get((c, a, b)) == h for (a, c, b), h in ints.items()),
+    )
 
 
 def columns(d: HodgeDiamond) -> ColumnVector:
@@ -275,7 +316,7 @@ def columns(d: HodgeDiamond) -> ColumnVector:
     """
     cols: dict[int, int] = {}
     for (p, q), h in d.items():
-        i = int(p - q)
+        i = (p.numerator - q.numerator) // p.denominator
         cols[i] = cols.get(i, 0) + h
     return ColumnVector(d.dim_n, cols)
 
@@ -286,15 +327,9 @@ def stringy_e(presentation: "OrbifoldPresentation") -> StringyPolynomial:
     Each sector with age a and coarse-space Hodge numbers h^{p',q'}
     contributes (-1)^{p'+q'} h^{p',q'} at (p'+a, q'+a), once per copy.  The sign is taken
     from the integer bidegrees of the underlying variety before shifting,
-    since (-1)^{p+q} is ill-defined for fractional exponents.  For
-    Gorenstein quotient singularities the result agrees with Batyrev's
-    stringy invariant.
+    since (-1)^{p+q} is ill-defined for fractional exponents.  The exponents
+    are summed as integers on (1/level)Z (`shifted_sum`) and exposed as
+    exact Fractions.  For Gorenstein quotient singularities the result
+    agrees with Batyrev's stringy invariant.
     """
-    terms: dict[GradeKey, int] = {}
-    for c, count in presentation.sectors:
-        a = c.age()
-        for (p, q), h in c.coarse_diamond.items():
-            sign = -count if (int(p) + int(q)) % 2 else count
-            key = (p + a, q + a)
-            terms[key] = terms.get(key, 0) + sign * h
-    return StringyPolynomial(terms)
+    return StringyPolynomial(dict(shifted_sum(presentation, signed=True)[1]))

@@ -32,8 +32,8 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .diamond import Grade, HodgeDiamond, is_int
-from .errors import OutOfRangeError, PseudoReflectionError, ValidationError
+from .diamond import Grade, HodgeDiamond, is_int, shifted_sum
+from .errors import PseudoReflectionError, ValidationError
 
 
 class InertiaComponent:
@@ -249,28 +249,16 @@ def assemble_diamond(p: OrbifoldPresentation) -> HodgeDiamond:
     h^{p,q}_orb = sum over sectors Z of h^{p - a(Z), q - a(Z)}(Z), realized
     by adding each coarse entry (p', q') times the sector's count at
     (p' + a, q' + a).  The level of the result is the lcm of the sector
-    orders.
+    orders; the shifted grades are summed as integers on (1/level)Z
+    (`shifted_sum`) and exposed as exact Fractions.
 
     Raises OutOfRangeError if a shifted grade leaves [0, n].  Data passing
     component validation can never trigger this (the shift is strictly
     smaller than the codimension), so it signals inconsistent input, e.g.
     a sector swapped with its inverse by hand-edited exponents.
     """
-    n = p.dim_n
-    entries: dict[tuple[Grade, Grade], int] = {}
-    level = 1
-    for c, count in p.sectors:
-        level = math.lcm(level, c.order_l)
-        a = c.age()
-        for (pp, qq), h in c.coarse_diamond.items():
-            sp, sq = pp + a, qq + a
-            if not (0 <= sp <= n and 0 <= sq <= n):
-                raise OutOfRangeError(
-                    f"sector {c.label!r} shifts ({pp},{qq}) to "
-                    f"({sp},{sq}) outside [0, {n}]"
-                )
-            entries[(sp, sq)] = entries.get((sp, sq), 0) + h * count
-    return HodgeDiamond(n, entries, level=level)
+    level, entries = shifted_sum(p)
+    return HodgeDiamond(p.dim_n, entries, level=level)
 
 
 def extract_h0q(p: OrbifoldPresentation, q: int) -> int:

@@ -168,9 +168,13 @@ def hochschild_via_sectors(p: OrbifoldPresentation) -> ColumnVector:
     column vector of the assembled diamond equals the sum of the column
     vectors of the coarse sector diamonds.
     """
-    total: dict[int, int] = {}
+    # One [coarse diamond, total count] per shared diamond object.
+    weighted: dict[int, list] = {}
     for c, count in p.sectors:
-        for i, v in columns(c.coarse_diamond).items():
+        weighted.setdefault(id(c.coarse_diamond), [c.coarse_diamond, 0])[1] += count
+    total: dict[int, int] = {}
+    for d, count in weighted.values():
+        for i, v in columns(d).items():
             total[i] = total.get(i, 0) + v * count
     return ColumnVector(p.dim_n, total)
 

@@ -8,6 +8,7 @@ under test for expected values.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -76,8 +77,6 @@ def random_symmetric_diamond(rng: random.Random, n: int, max_entry: int = 4) -> 
 
 def _random_faithful_exponents(rng: random.Random, l: int, k: int) -> list[int] | None:
     """k nonzero exponents in [1, l-1] whose additive orders jointly realize l."""
-    import math
-
     for _ in range(64):
         nz = [rng.randint(1, l - 1) for _ in range(k)]
         if math.lcm(*(l // math.gcd(a, l) for a in nz)) == l:
@@ -118,6 +117,32 @@ def random_presentation(
             else:
                 break
     return OrbifoldPresentation(n, comps, name=f"random-{rng.getrandbits(32):08x}")
+
+
+def reference_assembly(p: OrbifoldPresentation):
+    """Chen-Ruan diamond and stringy E-function by plain Fraction sums.
+
+    Independent of the integer lattice in `assemble_diamond`/`stringy_e`:
+    walks the expanded `p.components` (one copy at a time, no counts), takes
+    the shift straight from the exponents as Fraction(sum(exps), l) and adds
+    Fractions.  Returns (sorted nonzero diamond items, level, nonzero
+    stringy terms).
+    """
+    entries: dict[tuple[Fraction, Fraction], int] = {}
+    terms: dict[tuple[Fraction, Fraction], int] = {}
+    level = 1
+    for c in p.components:
+        level = math.lcm(level, c.order_l)
+        shift = Fraction(sum(c.exponents), c.order_l)
+        for (pp, qq), h in c.coarse_diamond.items():
+            key = (pp + shift, qq + shift)
+            entries[key] = entries.get(key, 0) + h
+            terms[key] = terms.get(key, 0) + (-1) ** int(pp + qq) * h
+    return (
+        sorted((k, h) for k, h in entries.items() if h),
+        level,
+        {k: c for k, c in terms.items() if c},
+    )
 
 
 def enumerate_matching_diamonds(n, column_vector, h01=None, limit=2):

@@ -36,6 +36,26 @@ def diamonds(draw):
     return HodgeDiamond(n, entries, level=level)
 
 
+@st.composite
+def partly_symmetric_diamonds(draw):
+    """Diamonds from `diamonds`, closed under neither, either or both symmetries."""
+    d = draw(diamonds())
+    n = d.dim_n
+    maps = []
+    if draw(st.booleans()):
+        maps.append(lambda p, q: (q, p))
+    if draw(st.booleans()):
+        maps.append(lambda p, q: (n - p, n - q))
+    entries = {}
+    for key, h in d.items():
+        orbit = {key}
+        for _ in range(2):
+            orbit |= {m(*k) for k in orbit for m in maps}
+        if key not in entries:
+            entries.update(dict.fromkeys(orbit, h))
+    return HodgeDiamond(n, entries, level=d.level)
+
+
 def test_as_grade_accepts_exact_forms():
     assert as_grade(2) == Fraction(2)
     assert as_grade("3/2") == Fraction(3, 2)
@@ -195,6 +215,21 @@ class TestStringyE:
 
     def test_zero_coefficients_dropped(self):
         assert StringyPolynomial({(0, 0): 0}) == StringyPolynomial({})
+
+
+@given(partly_symmetric_diamonds())
+def test_check_symmetries_is_its_definition(d):
+    report = check_symmetries(d)
+    assert report.serre == (d == serre_dual(d))
+    assert report.hodge == all(d.entry(q, p) == h for (p, q), h in d.items())
+
+
+@given(diamonds(), st.integers(2, 5))
+def test_hash_ignores_level_and_is_stable(d, k):
+    e = HodgeDiamond(d.dim_n, d.items(), level=d.level * k)
+    assert e.level != d.level
+    assert hash(d) == hash(d) == hash(e) and d == e
+    assert {d: "first"}[e] == "first"
 
 
 @given(diamonds())

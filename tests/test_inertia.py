@@ -8,10 +8,13 @@ from orbikit import (
     InertiaComponent,
     OrbifoldPresentation,
     OutOfRangeError,
+    ProjectiveQuotientSpec,
     PseudoReflectionError,
     ValidationError,
     age,
     assemble_diamond,
+    build_kummer,
+    build_projective_quotient,
     check_symmetries,
     columns,
     extract_h0q,
@@ -20,7 +23,7 @@ from orbikit import (
     stringy_e,
 )
 from orbikit.formats import presentation_from_obj, presentation_to_obj
-from support import K3_DIAMOND, KUMMER3_DIAMOND, random_presentation
+from support import K3_DIAMOND, KUMMER3_DIAMOND, random_presentation, reference_assembly
 
 POINT = HodgeDiamond.point()
 
@@ -231,8 +234,45 @@ class TestAssembleDiamond:
             is_untwisted=False,
         )
         fake = SimpleNamespace(dim_n=2, sectors=((rogue, 1),))
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(OutOfRangeError, match=r"'rogue' shifts \(1,1\) to \(5/2,5/2\)"):
             assemble_diamond(fake)
+
+
+class TestFractionReference:
+    """The integer-lattice sums against `support.reference_assembly`."""
+
+    @staticmethod
+    def assert_matches_reference(p):
+        entries, level, terms = reference_assembly(p)
+        d = assemble_diamond(p)
+        assert list(d.items()) == entries and d.level == level
+        e = stringy_e(p)
+        assert dict(e.items()) == terms and list(e.keys()) == sorted(terms)
+
+    def test_random_presentations_repeated_and_paired(self, rng):
+        gorenstein = []
+        for _ in range(40):
+            p = random_presentation(rng, max_sectors=12)
+            gorenstein.append(is_gorenstein(p))
+            for form in (p, *TestMultiplicities.both_forms(rng, p)):
+                self.assert_matches_reference(form)
+        assert True in gorenstein and False in gorenstein
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ProjectiveQuotientSpec(2, (3,), ((0, 1, 2),)),
+            ProjectiveQuotientSpec(2, (13,), ((0, 1, 5),)),
+            ProjectiveQuotientSpec(3, (7,), ((0, 1, 2, 4),)),
+            ProjectiveQuotientSpec(4, (4, 4), ((0, 1, 2, 3, 1), (0, 0, 1, 3, 2))),
+        ],
+    )
+    def test_projective_quotients(self, spec):
+        self.assert_matches_reference(build_projective_quotient(spec))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_kummer(self, n):
+        self.assert_matches_reference(build_kummer(n))
 
 
 class TestExtractH0q:
