@@ -39,7 +39,6 @@ from .errors import (
 from .inertia import (
     InertiaComponent,
     OrbifoldPresentation,
-    age,
     assemble_diamond,
     extract_h0q,
     is_gorenstein,
@@ -80,7 +79,6 @@ __all__ = [
     "stringy_e",
     "InertiaComponent",
     "OrbifoldPresentation",
-    "age",
     "assemble_diamond",
     "extract_h0q",
     "is_gorenstein",

@@ -29,26 +29,29 @@ def _load_presentation(source: str, diamond_files: bool = False) -> OrbifoldPres
     """The presentation a file path or catalog name stands for.
 
     A diamond file (an object with "entries") is a ParseError, or with
-    `diamond_files` is returned as the (name, diamond) pair it holds.
+    `diamond_files` is returned as the (name, diamond) pair it holds.  A
+    user catalog entry is read as the file it names.
     """
     path = Path(source)
     try:
         is_file = path.is_file()
     except OSError as exc:  # e.g. a name too long for the file system
         raise ParseError(f"{source}: not a usable path ({exc.strerror})") from None
-    if is_file:
-        obj = read_json(path)
-        if not (isinstance(obj, dict) and "entries" in obj):
-            return presentation_from_obj(obj)
-        if diamond_files:
-            return diamond_from_obj(obj)
-        raise ParseError(f"{source}: expected an orbifold file, got a bare diamond file")
-    entries = catalog_entries()
-    if source in entries:
-        return load_catalog_presentation(entries[source])
-    if path.exists():
-        raise ParseError(f"{source}: not a regular file")
-    raise ParseError(f"unknown catalog entry: {source}")
+    if not is_file:
+        entry = catalog_entries().get(source)
+        if entry is None and path.exists():
+            raise ParseError(f"{source}: not a regular file")
+        if entry is None:
+            raise ParseError(f"unknown catalog entry: {source}")
+        if "__path__" not in entry.payload:
+            return load_catalog_presentation(entry)
+        path = Path(entry.payload["__path__"])
+    obj = read_json(path)
+    if not (isinstance(obj, dict) and "entries" in obj):
+        return presentation_from_obj(obj)
+    if diamond_files:
+        return diamond_from_obj(obj)
+    raise ParseError(f"{source}: expected an orbifold file, got a bare diamond file")
 
 
 def _load_any_diamond(source: str) -> tuple[str, HodgeDiamond]:

@@ -263,8 +263,7 @@ def shifted_sum(presentation: "OrbifoldPresentation", signed: bool = False) -> t
     top = n * level
     acc: dict[tuple[int, int], int] = {}
     for c, count in presentation.sectors:
-        a = c.age()
-        shift = a.numerator * (level // a.denominator)
+        shift = sum(c.exponents) * (level // c.order_l)
         for (p, q), h in c.coarse_diamond.items():
             pp, qq = p.numerator, q.numerator
             if signed and (pp + qq) % 2:

@@ -29,13 +29,15 @@ singularities are Gorenstein, and fractional bidegrees appear otherwise.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .diamond import Grade, HodgeDiamond, is_int, shifted_sum
+from .diamond import Grade, HodgeDiamond, check_dim, is_int, shifted_sum
 from .errors import PseudoReflectionError, ValidationError
 
 
+@dataclass(frozen=True, slots=True)
 class InertiaComponent:
     """One sector of the inertia decomposition.
 
@@ -50,18 +52,16 @@ class InertiaComponent:
     at isolated fixed points of diagonal actions on P^4).
     """
 
-    __slots__ = ("_order_l", "_exponents", "_coarse_diamond", "_label")
+    order_l: int
+    exponents: tuple[int, ...]
+    coarse_diamond: HodgeDiamond
+    label: str = ""
 
-    def __init__(
-        self,
-        order_l: int,
-        exponents: Sequence[int],
-        coarse_diamond: HodgeDiamond,
-        label: str = "",
-    ):
+    def __post_init__(self):
+        order_l, coarse_diamond = self.order_l, self.coarse_diamond
         if not is_int(order_l) or order_l < 1:
             raise ValidationError(f"sector order must be a positive integer, got {order_l!r}")
-        exps = tuple(exponents)
+        exps = tuple(self.exponents)
         for a in exps:
             if not is_int(a):
                 raise ValidationError(f"exponents must be integers, got {a!r}")
@@ -89,57 +89,20 @@ class InertiaComponent:
                 f"coarse space has dimension {coarse_diamond.dim_n} "
                 f"but the exponents fix {n_fixed} directions"
             )
-        self._order_l = order_l
-        self._exponents = exps
-        self._coarse_diamond = coarse_diamond
-        self._label = str(label)
-
-    @property
-    def order_l(self) -> int:
-        return self._order_l
-
-    @property
-    def exponents(self) -> tuple[int, ...]:
-        return self._exponents
-
-    @property
-    def coarse_diamond(self) -> HodgeDiamond:
-        return self._coarse_diamond
-
-    @property
-    def label(self) -> str:
-        return self._label
+        object.__setattr__(self, "exponents", exps)
+        object.__setattr__(self, "label", str(self.label))
 
     @property
     def is_untwisted(self) -> bool:
-        return self._order_l == 1
+        return self.order_l == 1
 
     def age(self) -> Grade:
         """Age (shift number) of the sector: sum of exponents over l."""
-        return Fraction(sum(self._exponents), self._order_l)
+        return Fraction(sum(self.exponents), self.order_l)
 
     def sort_key(self):
         """Canonical ordering key: (order, exponents, label)."""
-        return (self._order_l, self._exponents, self._label)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, InertiaComponent):
-            return NotImplemented
-        return (
-            self._order_l == other._order_l
-            and self._exponents == other._exponents
-            and self._coarse_diamond == other._coarse_diamond
-            and self._label == other._label
-        )
-
-    def __hash__(self) -> int:
-        return hash((self._order_l, self._exponents, self._coarse_diamond, self._label))
-
-    def __repr__(self) -> str:
-        return (
-            f"InertiaComponent(order_l={self._order_l}, exponents={self._exponents}, "
-            f"coarse={self._coarse_diamond!r}, label={self._label!r})"
-        )
+        return (self.order_l, self.exponents, self.label)
 
 
 class OrbifoldPresentation:
@@ -155,8 +118,7 @@ class OrbifoldPresentation:
     __slots__ = ("_dim_n", "_sectors", "_name", "_multiset")
 
     def __init__(self, dim_n: int, components: Iterable[InertiaComponent | tuple[InertiaComponent, int]], name: str = ""):
-        if not is_int(dim_n) or dim_n < 0:
-            raise ValidationError(f"ambient dimension must be a nonnegative integer, got {dim_n!r}")
+        check_dim(dim_n)
         sectors = tuple(s if isinstance(s, tuple) and len(s) == 2 else (s, 1) for s in components)
         if not sectors:
             raise ValidationError("a presentation needs at least the untwisted sector")
@@ -229,18 +191,13 @@ class OrbifoldPresentation:
         return f"OrbifoldPresentation(name={self._name!r}, dim_n={self._dim_n}, {total} components)"
 
 
-def age(c: InertiaComponent) -> Grade:
-    """Age of a sector; 0 exactly for the untwisted sector."""
-    return c.age()
-
-
 def is_gorenstein(p: OrbifoldPresentation) -> bool:
     """True iff every sector age is an integer.
 
     Equivalent to all local groups acting through SL, and to the assembled
     diamond having integer grades only.
     """
-    return all(c.age().denominator == 1 for c, _ in p.sectors)
+    return all(sum(c.exponents) % c.order_l == 0 for c, _ in p.sectors)
 
 
 def assemble_diamond(p: OrbifoldPresentation) -> HodgeDiamond:

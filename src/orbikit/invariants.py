@@ -19,7 +19,16 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .diamond import ColumnVector, HodgeDiamond, check_dim, columns, format_grade, is_int
+from .diamond import (
+    ColumnVector,
+    HodgeDiamond,
+    SymmetryReport,
+    check_dim,
+    check_symmetries,
+    columns,
+    format_grade,
+    is_int,
+)
 from .errors import (
     DimensionMismatchError,
     InconsistentError,
@@ -226,60 +235,44 @@ def reconstruct_gorenstein(
         if h01 is not None and h01 != value:
             raise InconsistentError(f"h01 given as {h01} but the columns force {value}")
 
-    entries: dict[tuple[int, int], int]
+    # One value per orbit of the Hodge and Serre symmetries, keyed by a representative.
     if n == 0:
         if c[0] != 1:
             raise InconsistentError(f"a point has column sum 1, got {c[0]}")
         known_h01(0)
-        entries = {(0, 0): 1}
+        orbits = {(0, 0): 1}
     elif n == 1:
         if c[0] != 2:
             raise InconsistentError(f"column 0 must be 2 (h^{{0,0}} + h^{{1,1}}), got {c[0]}")
-        h10 = c[1]
-        known_h01(h10)
-        entries = {(0, 0): 1, (1, 1): 1, (1, 0): h10, (0, 1): h10}
+        known_h01(c[1])
+        orbits = {(0, 0): 1, (1, 0): c[1]}
     elif n == 2:
-        h20 = c[2]
         h10 = even_half(c[1], "column 1")
         known_h01(h10)
-        h11 = c[0] - 2
-        if h11 < 0:
+        if c[0] < 2:
             raise InconsistentError(f"column 0 must be at least 2, got {c[0]}")
-        entries = {
-            (0, 0): 1, (2, 2): 1,
-            (1, 0): h10, (0, 1): h10, (2, 1): h10, (1, 2): h10,
-            (2, 0): h20, (0, 2): h20,
-            (1, 1): h11,
-        }
+        orbits = {(0, 0): 1, (1, 0): h10, (2, 0): c[2], (1, 1): c[0] - 2}
     else:
         if h01 is None:
             raise InconsistentError("h01 is required to reconstruct a threefold diamond")
-        h30 = c[3]
         h20 = even_half(c[2], "column 2")
-        h10 = h01
-        h21 = c[1] - 2 * h10
+        h21 = c[1] - 2 * h01
         if h21 < 0:
-            raise InconsistentError(
-                f"column 1 ({c[1]}) is smaller than 2*h01 ({2 * h10})"
-            )
+            raise InconsistentError(f"column 1 ({c[1]}) is smaller than 2*h01 ({2 * h01})")
         h11 = even_half(c[0] - 2, "column 0 minus 2")
         if h11 < 0:
             raise InconsistentError(f"column 0 must be at least 2, got {c[0]}")
-        entries = {
-            (0, 0): 1, (3, 3): 1,
-            (1, 0): h10, (0, 1): h10, (2, 3): h10, (3, 2): h10,
-            (2, 0): h20, (0, 2): h20, (1, 3): h20, (3, 1): h20,
-            (3, 0): h30, (0, 3): h30,
-            (1, 1): h11, (2, 2): h11,
-            (2, 1): h21, (1, 2): h21,
-        }
+        orbits = {(0, 0): 1, (1, 0): h01, (2, 0): h20, (3, 0): c[3], (1, 1): h11, (2, 1): h21}
 
-    result = HodgeDiamond(n, entries)
+    result = HodgeDiamond(n, {
+        key: h
+        for (p, q), h in orbits.items()
+        for key in ((p, q), (q, p), (n - p, n - q), (n - q, n - p))
+    })
     # Self-verifying postconditions; the solve above is triangular, so a
     # failure here means a bug, not bad input.
     assert columns(result) == c
-    assert all(result.entry(q, p) == h for (p, q), h in result.items())
-    assert all(result.entry(n - p, n - q) == h for (p, q), h in result.items())
+    assert check_symmetries(result) == SymmetryReport(serre=True, hodge=True)
     return result
 
 

@@ -207,6 +207,17 @@ class TestInputs:
         code, out, _ = run_cli("diamond", "myorb", "--format", "json")
         assert code == 0 and json.loads(out)["name"] == "myorb"
 
+    def test_user_catalog_diamond_file_behaves_like_its_path(self, tmp_path, monkeypatch, k3_diamond):
+        path = tmp_path / "k3d.json"
+        path.write_text(dumps(diamond_to_obj("k3", k3_diamond)))
+        monkeypatch.setenv("ORBIKIT_CATALOG_DIR", str(tmp_path))
+        for source in ("k3d", str(path)):
+            code, out, err = run_cli("partners", "kummer2", source)
+            assert code == 0 and "CompatibleSoFar" in out and err == ""
+            code, out, err = run_cli("diamond", source)
+            assert (code, out) == (2, "")
+            assert err == f"error: ParseError: {source}: expected an orbifold file, got a bare diamond file\n"
+
     def test_huge_count_is_not_expanded(self, tmp_path):
         torus = [{"p": 0, "q": 0, "h": 1}, {"p": 2, "q": 0, "h": 1}, {"p": 0, "q": 2, "h": 1},
                  {"p": 1, "q": 1, "h": 4}, {"p": 2, "q": 2, "h": 1}]

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -11,7 +13,6 @@ from orbikit import (
     ProjectiveQuotientSpec,
     PseudoReflectionError,
     ValidationError,
-    age,
     assemble_diamond,
     build_kummer,
     build_projective_quotient,
@@ -34,15 +35,15 @@ def untwisted(n, coarse=None, label="untwisted"):
 
 class TestAge:
     def test_untwisted_is_zero(self):
-        assert age(untwisted(2)) == 0
+        assert untwisted(2).age() == 0
 
     def test_isolated_point_order_three(self):
         c = InertiaComponent(3, (1, 2), POINT)
-        assert age(c) == 1
+        assert c.age() == 1
 
     def test_fractional_involution(self):
         c = InertiaComponent(2, (1, 1, 1), POINT)
-        assert age(c) == Fraction(3, 2)
+        assert c.age() == Fraction(3, 2)
 
 
 class TestComponentValidation:
@@ -68,7 +69,7 @@ class TestComponentValidation:
     def test_jointly_faithful_exponents_accepted(self):
         # No single exponent is coprime to 6, but together they realize it.
         c = InertiaComponent(6, (2, 2, 3, 3), POINT)
-        assert age(c) == Fraction(5, 3)
+        assert c.age() == Fraction(5, 3)
 
     def test_trivial_twisted_sector_rejected(self):
         with pytest.raises(ValidationError):
@@ -82,6 +83,25 @@ class TestComponentValidation:
         frac = HodgeDiamond(1, {(Fraction(1, 2), Fraction(1, 2)): 1})
         with pytest.raises(ValidationError):
             InertiaComponent(2, (0, 1, 1), frac)
+
+
+class TestComponentValueSemantics:
+    def test_list_exponents_become_a_tuple(self):
+        from_list = InertiaComponent(3, [1, 2], POINT, label="x")
+        from_tuple = InertiaComponent(3, (1, 2), POINT, label="x")
+        assert from_list.exponents == (1, 2) and type(from_list.exponents) is tuple
+        assert from_list == from_tuple and hash(from_list) == hash(from_tuple)
+
+    @pytest.mark.parametrize("field", ["order_l", "exponents", "coarse_diamond", "label"])
+    def test_fields_are_read_only(self, field):
+        c = InertiaComponent(3, (1, 2), POINT)
+        with pytest.raises(AttributeError):
+            setattr(c, field, getattr(c, field))
+
+    def test_copy_and_pickle_round_trips(self):
+        c = InertiaComponent(2, (1, 1, 0), HodgeDiamond.projective_space(1), label="line")
+        assert copy.deepcopy(c) == c
+        assert pickle.loads(pickle.dumps(c)) == c
 
 
 class TestPresentationValidation:
@@ -167,7 +187,7 @@ class TestIsGorenstein:
         coarse = HodgeDiamond(2, {(0, 0): 1, (1, 1): 1, (2, 2): 1})
         sector = InertiaComponent(3, (0, 0, 1, 2), coarse)
         p = OrbifoldPresentation(4, [untwisted(4), sector])
-        assert age(sector) == 1
+        assert sector.age() == 1
         assert is_gorenstein(p)
 
     def test_kummer_threefold_is_not(self, kummer3):
@@ -215,7 +235,7 @@ class TestAssembleDiamond:
         for _ in range(25):
             p = random_presentation(rng)
             for c in p.components:
-                assert (age(c) == 0) == c.is_untwisted
+                assert (c.age() == 0) == c.is_untwisted
 
     def test_symmetries_hold_on_random_presentations(self, rng):
         for _ in range(25):
@@ -228,7 +248,7 @@ class TestAssembleDiamond:
         # defensive check with a duck-typed stand-in.
         rogue = SimpleNamespace(
             order_l=4,
-            age=lambda: Fraction(3, 2),
+            exponents=(3, 3),
             coarse_diamond=HodgeDiamond(1, {(1, 1): 1}),
             label="rogue",
             is_untwisted=False,
@@ -254,6 +274,7 @@ class TestFractionReference:
         for _ in range(40):
             p = random_presentation(rng, max_sectors=12)
             gorenstein.append(is_gorenstein(p))
+            assert is_gorenstein(p) == all(c.age().denominator == 1 for c in p.components)
             for form in (p, *TestMultiplicities.both_forms(rng, p)):
                 self.assert_matches_reference(form)
         assert True in gorenstein and False in gorenstein

@@ -6,7 +6,7 @@ from orbikit import catalog, cli, formats
 PUBLIC_NAMES = [
     "ColumnVector", "Grade", "HodgeDiamond", "StringyPolynomial", "SymmetryReport",
     "as_grade", "check_symmetries", "columns", "format_grade", "serre_dual", "stringy_e",
-    "InertiaComponent", "OrbifoldPresentation", "age", "assemble_diamond", "extract_h0q",
+    "InertiaComponent", "OrbifoldPresentation", "assemble_diamond", "extract_h0q",
     "is_gorenstein", "KummerSpec", "ProjectiveQuotientSpec", "build_kummer",
     "build_projective_quotient", "torus_invariant_diamond", "McKayReport", "Mismatch",
     "PartnerReport", "Verdict", "check_partners", "extract_hn0", "extract_hn10",

@@ -14,7 +14,6 @@ from orbikit import (
     PseudoReflectionError,
     ScalarActionError,
     ValidationError,
-    age,
     assemble_diamond,
     build_kummer,
     build_projective_quotient,
@@ -49,7 +48,7 @@ class TestProjectiveQuotient:
         assert len(p2_mu3.components) == 7
         twisted = [c for c in p2_mu3.components if not c.is_untwisted]
         assert len(twisted) == 6
-        assert all(c.order_l == 3 and age(c) == 1 for c in twisted)
+        assert all(c.order_l == 3 and c.age() == 1 for c in twisted)
         assert all(c.coarse_diamond == HodgeDiamond.point() for c in twisted)
 
     def test_p2_mu3_diamond(self, p2_mu3):
@@ -91,7 +90,7 @@ class TestProjectiveQuotient:
         twisted = [c for c in p.components if not c.is_untwisted]
         assert len(twisted) == 2
         assert all(c.coarse_diamond == HodgeDiamond.projective_space(1) for c in twisted)
-        assert all(age(c) == 1 for c in twisted)
+        assert all(c.age() == 1 for c in twisted)
         d = assemble_diamond(p)
         assert d == HodgeDiamond(3, {(0, 0): 1, (1, 1): 3, (2, 2): 3, (3, 3): 1})
 
@@ -137,7 +136,7 @@ class TestProjectiveQuotient:
                 coord = orig_eig.index(chi)
                 partner = by_key[(t_inv, eig[coord])]
                 codim = s.proj_dim_n - c.coarse_diamond.dim_n
-                assert age(c) + age(partner) == codim
+                assert c.age() + partner.age() == codim
 
     def test_euler_number_cross_check(self):
         cases = [
@@ -188,7 +187,7 @@ class TestKummer:
     def test_threefold_fractional(self, kummer3):
         twisted = [c for c in kummer3.components if not c.is_untwisted]
         assert len(twisted) == 64
-        assert all(age(c) == Fraction(3, 2) for c in twisted)
+        assert all(c.age() == Fraction(3, 2) for c in twisted)
         assert not is_gorenstein(kummer3)
         assert assemble_diamond(kummer3) == KUMMER3_DIAMOND
 
