@@ -1,13 +1,18 @@
-"""Built-in example catalog, extensible via the ORBIKIT_CATALOG_DIR directory."""
+"""Built-in example catalog, extensible via the ORBIKIT_CATALOG_DIR directory.
+
+A user entry NAME.json there is listed with kind "file" and read like its
+path, so it may hold an orbifold file or a diamond file.
+"""
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Any
 
 from .errors import ParseError
-from .formats import presentation_from_obj, read_json
+from .formats import document_from_obj, read_json
 from .inertia import OrbifoldPresentation
 
 #: Environment variable naming a directory of extra NAME.json catalog entries.
@@ -17,9 +22,17 @@ CATALOG_DIR_ENV = "ORBIKIT_CATALOG_DIR"
 @dataclass(frozen=True)
 class CatalogEntry:
     name: str
-    kind: str  # "orbifold" or "columns"
+    kind: str  # "orbifold", "columns" or "file" (a user entry)
     description: str
-    payload: dict
+    payload: dict | Path  # the document itself, or the file of a "file" entry
+
+    def document(self) -> Any:
+        """The JSON document this entry loads as; a "columns" entry loads as none."""
+        if self.kind == "file":
+            return read_json(self.payload)
+        if self.kind != "orbifold":
+            raise ParseError(f"catalog entry {self.name!r} is not an orbifold (kind: {self.kind})")
+        return self.payload
 
 
 BUILTINS: dict[str, CatalogEntry] = {
@@ -64,28 +77,38 @@ BUILTINS: dict[str, CatalogEntry] = {
 }
 
 
-def catalog_entries(env: dict | None = None) -> dict[str, CatalogEntry]:
+def catalog_entries() -> dict[str, CatalogEntry]:
     """Built-in entries plus any NAME.json files from ORBIKIT_CATALOG_DIR."""
-    if env is None:
-        env = dict(os.environ)
     entries = dict(BUILTINS)
-    directory = env.get(CATALOG_DIR_ENV)
+    directory = os.environ.get(CATALOG_DIR_ENV)
     if directory:
         for path in sorted(Path(directory).glob("*.json")):
-            name = path.stem
-            entries[name] = CatalogEntry(
-                name,
-                "orbifold",
+            entries[path.stem] = CatalogEntry(
+                path.stem,
+                "file",
                 f"user catalog entry ({path})",
-                {"__path__": str(path)},
+                path,
             )
     return entries
 
 
+def source_document(source: str) -> Any:
+    """The JSON document a file path or catalog name stands for; a regular file wins."""
+    path = Path(source)
+    try:
+        is_file = path.is_file()
+    except OSError as exc:  # e.g. a name too long for the file system
+        raise ParseError(f"{source}: not a usable path ({exc.strerror})") from None
+    if is_file:
+        return read_json(path)
+    entry = catalog_entries().get(source)
+    if entry is None and path.exists():
+        raise ParseError(f"{source}: not a regular file")
+    if entry is None:
+        raise ParseError(f"unknown catalog entry: {source}")
+    return entry.document()
+
+
 def load_catalog_presentation(entry: CatalogEntry) -> OrbifoldPresentation:
-    if entry.kind != "orbifold":
-        raise ParseError(f"catalog entry {entry.name!r} is not an orbifold (kind: {entry.kind})")
-    payload = entry.payload
-    if "__path__" in payload:
-        return presentation_from_obj(read_json(Path(payload["__path__"])))
-    return presentation_from_obj(payload)
+    """The presentation of a catalog entry, read as the CLI reads its name."""
+    return document_from_obj(entry.document(), entry.name)

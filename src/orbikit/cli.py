@@ -13,51 +13,21 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
-from pathlib import Path
 
-from .catalog import catalog_entries, load_catalog_presentation
+from .catalog import catalog_entries, source_document
 from .diamond import ColumnVector, HodgeDiamond, check_symmetries, format_grade
 from .errors import OrbikitError, ParseError
-from .formats import diamond_from_obj, diamond_to_obj, dumps, grade_to_json, presentation_from_obj, read_json
-from .inertia import OrbifoldPresentation, assemble_diamond, is_gorenstein
+from .formats import diamond_to_obj, document_from_obj, dumps, grade_to_json
+from .inertia import assemble_diamond, is_gorenstein
 from .invariants import Mismatch, PartnerReport, Verdict, check_partners, reconstruct_gorenstein
 
 PARTNER_NOTE = "note: necessary conditions only; this never certifies derived equivalence"
 
 
-def _load_presentation(source: str, diamond_files: bool = False) -> OrbifoldPresentation | tuple[str, HodgeDiamond]:
-    """The presentation a file path or catalog name stands for.
-
-    A diamond file (an object with "entries") is a ParseError, or with
-    `diamond_files` is returned as the (name, diamond) pair it holds.  A
-    user catalog entry is read as the file it names.
-    """
-    path = Path(source)
-    try:
-        is_file = path.is_file()
-    except OSError as exc:  # e.g. a name too long for the file system
-        raise ParseError(f"{source}: not a usable path ({exc.strerror})") from None
-    if not is_file:
-        entry = catalog_entries().get(source)
-        if entry is None and path.exists():
-            raise ParseError(f"{source}: not a regular file")
-        if entry is None:
-            raise ParseError(f"unknown catalog entry: {source}")
-        if "__path__" not in entry.payload:
-            return load_catalog_presentation(entry)
-        path = Path(entry.payload["__path__"])
-    obj = read_json(path)
-    if not (isinstance(obj, dict) and "entries" in obj):
-        return presentation_from_obj(obj)
-    if diamond_files:
-        return diamond_from_obj(obj)
-    raise ParseError(f"{source}: expected an orbifold file, got a bare diamond file")
-
-
-def _load_any_diamond(source: str) -> tuple[str, HodgeDiamond]:
+def _load_any_diamond(source: str) -> HodgeDiamond:
     """Orbifold sources are assembled; diamond files are taken as-is."""
-    loaded = _load_presentation(source, diamond_files=True)
-    return loaded if isinstance(loaded, tuple) else (loaded.name, assemble_diamond(loaded))
+    loaded = document_from_obj(source_document(source), source, diamond_files=True)
+    return loaded[1] if isinstance(loaded, tuple) else assemble_diamond(loaded)
 
 
 def _grade_axis(d: HodgeDiamond) -> list[Fraction]:
@@ -186,14 +156,14 @@ def _parse_columns_flag(text: str, n: int) -> ColumnVector:
 
 
 def cmd_diamond(args) -> int:
-    p = _load_presentation(args.input)
+    p = document_from_obj(source_document(args.input), args.input)
     d = assemble_diamond(p)
     print(render_diamond(p.name, d, args.format))
     return 0
 
 
 def cmd_check(args) -> int:
-    p = _load_presentation(args.input)
+    p = document_from_obj(source_document(args.input), args.input)
     requested = [name for name, flag in [("serre", args.serre), ("hodge", args.hodge), ("gorenstein", args.gorenstein)] if flag]
     if not requested:
         requested = ["serre", "hodge", "gorenstein"]
@@ -212,8 +182,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_partners(args) -> int:
-    _, da = _load_any_diamond(args.a)
-    _, db = _load_any_diamond(args.b)
+    da = _load_any_diamond(args.a)
+    db = _load_any_diamond(args.b)
     report = check_partners(da, db, strict_dim3=args.strict_dim3)
     print(render_partners(report, args.format))
     return 0 if report.verdict is Verdict.COMPATIBLE_SO_FAR else 1

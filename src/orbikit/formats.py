@@ -116,7 +116,7 @@ def presentation_from_obj(obj: Any) -> OrbifoldPresentation:
     raw_sectors = obj["sectors"]
     if not isinstance(raw_sectors, list):
         raise ParseError("sectors: expected a list")
-    components: list[tuple[InertiaComponent, int]] = []
+    sectors: list[tuple[InertiaComponent, int]] = []
     for k, sector in enumerate(raw_sectors):
         where = f"sectors[{k}]"
         _require_keys(sector, {"order", "exponents", "diamond"}, {"count", "label"}, where)
@@ -133,8 +133,8 @@ def presentation_from_obj(obj: Any) -> OrbifoldPresentation:
         coarse_dim = sum(1 for a in exponents if a == 0)
         coarse = HodgeDiamond(coarse_dim, entries)
         component = InertiaComponent(order, exponents, coarse, label=label)
-        components.append((component, count))
-    return OrbifoldPresentation(dim, components, name=name)
+        sectors.append((component, count))
+    return OrbifoldPresentation(dim, sectors, name=name)
 
 
 def _presentation_from_generator(obj: dict) -> OrbifoldPresentation:
@@ -187,6 +187,19 @@ def diamond_from_obj(obj: Any) -> tuple[str, HodgeDiamond]:
     dim = _require_int(obj["dim"], "dim")
     entries = _entries_from_json(obj["entries"], "entries")
     return name, HodgeDiamond(dim, entries)
+
+
+def document_from_obj(obj: Any, source: str, diamond_files: bool = False) -> OrbifoldPresentation | tuple[str, HodgeDiamond]:
+    """The presentation an orbifold file object holds, read for `source`.
+
+    An object with "entries" is a diamond file: a ParseError naming
+    `source`, or with `diamond_files` the (name, diamond) pair it holds.
+    """
+    if not (isinstance(obj, dict) and "entries" in obj):
+        return presentation_from_obj(obj)
+    if diamond_files:
+        return diamond_from_obj(obj)
+    raise ParseError(f"{source}: expected an orbifold file, got a bare diamond file")
 
 
 def diamond_to_obj(name: str, d: HodgeDiamond) -> dict:

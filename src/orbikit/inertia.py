@@ -29,9 +29,8 @@ singularities are Gorenstein, and fractional bidegrees appear otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
 
 from .diamond import Grade, HodgeDiamond, check_dim, is_int, shifted_sum
 from .errors import PseudoReflectionError, ValidationError
@@ -67,18 +66,16 @@ class InertiaComponent:
                 raise ValidationError(f"exponents must be integers, got {a!r}")
             if not (0 <= a <= order_l - 1):
                 raise ValidationError(f"exponent {a} outside [0, {order_l - 1}] for order {order_l}")
+        # At order 1 the range check leaves only zeros, which pass the checks below.
         nonzero = [a for a in exps if a]
-        if order_l == 1 and nonzero:
-            raise ValidationError("untwisted sector (order 1) must have all exponents zero")
         if len(nonzero) == 1:
             raise PseudoReflectionError(
                 f"sector with exponents {exps} fixes a codimension-one locus"
             )
-        if order_l > 1:
-            if math.lcm(*(order_l // math.gcd(a, order_l) for a in exps)) != order_l:
-                raise ValidationError(
-                    f"exponents {exps} do not realize an automorphism of order {order_l}"
-                )
+        if math.lcm(*(order_l // math.gcd(a, order_l) for a in exps)) != order_l:
+            raise ValidationError(
+                f"exponents {exps} do not realize an automorphism of order {order_l}"
+            )
         if not isinstance(coarse_diamond, HodgeDiamond):
             raise ValidationError("coarse_diamond must be a HodgeDiamond")
         if not coarse_diamond.is_integer_graded():
@@ -105,21 +102,26 @@ class InertiaComponent:
         return (self.order_l, self.exponents, self.label)
 
 
+@dataclass(frozen=True, slots=True)
 class OrbifoldPresentation:
     """Full inertia data of one orbifold: untwisted sector plus twisted components.
 
-    Sectors are (component, count) pairs: `count` isomorphic copies of one
-    component, stored once.  The constructor takes components (count 1) or
-    pairs, kept as given in input order; equality compares the merged
-    multisets.  The untwisted counts add up to exactly one, and every
-    component's exponent list has length equal to the ambient dimension.
+    `sectors` holds (component, count) pairs: `count` isomorphic copies of
+    one component, stored once and never expanded.  The constructor takes
+    components (count 1) or pairs, kept as given in input order; equality
+    and hashing compare the merged multisets, computed once on first use.
+    The untwisted counts add up to exactly one, and every component's
+    exponent list has length equal to the ambient dimension.
     """
 
-    __slots__ = ("_dim_n", "_sectors", "_name", "_multiset")
+    dim_n: int
+    sectors: tuple[tuple[InertiaComponent, int], ...]
+    name: str = ""
+    _multiset: frozenset | None = field(default=None, init=False)
 
-    def __init__(self, dim_n: int, components: Iterable[InertiaComponent | tuple[InertiaComponent, int]], name: str = ""):
-        check_dim(dim_n)
-        sectors = tuple(s if isinstance(s, tuple) and len(s) == 2 else (s, 1) for s in components)
+    def __post_init__(self):
+        check_dim(self.dim_n)
+        sectors = tuple(s if isinstance(s, tuple) and len(s) == 2 else (s, 1) for s in self.sectors)
         if not sectors:
             raise ValidationError("a presentation needs at least the untwisted sector")
         for c, count in sectors:
@@ -127,68 +129,40 @@ class OrbifoldPresentation:
                 raise ValidationError("components must be InertiaComponent instances")
             if not is_int(count) or count < 1:
                 raise ValidationError(f"sector count must be a positive integer, got {count!r}")
-            if len(c.exponents) != dim_n:
+            if len(c.exponents) != self.dim_n:
                 raise ValidationError(
-                    f"component {c.label!r} has {len(c.exponents)} exponents, ambient dimension is {dim_n}"
+                    f"component {c.label!r} has {len(c.exponents)} exponents, ambient dimension is {self.dim_n}"
                 )
         untwisted = sum(count for c, count in sectors if c.is_untwisted)
         if untwisted != 1:
             raise ValidationError(f"exactly one untwisted sector required, found {untwisted}")
-        self._dim_n = dim_n
-        self._sectors = sectors
-        self._name = str(name)
-        self._multiset = None
-
-    @property
-    def dim_n(self) -> int:
-        return self._dim_n
-
-    @property
-    def sectors(self) -> tuple[tuple[InertiaComponent, int], ...]:
-        """The (component, count) pairs, in input order."""
-        return self._sectors
-
-    @property
-    def components(self) -> tuple[InertiaComponent, ...]:
-        """Every sector, each repeated `count` times; built on each call."""
-        return tuple(c for c, count in self._sectors for _ in range(count))
-
-    @property
-    def name(self) -> str:
-        return self._name
+        object.__setattr__(self, "sectors", sectors)
+        object.__setattr__(self, "name", str(self.name))
 
     @property
     def untwisted(self) -> InertiaComponent:
-        return next(c for c, _ in self._sectors if c.is_untwisted)
+        return next(c for c, _ in self.sectors if c.is_untwisted)
 
-    @property
-    def twisted(self) -> tuple[InertiaComponent, ...]:
-        return tuple(c for c, count in self._sectors if not c.is_untwisted for _ in range(count))
-
-    def _counts(self) -> frozenset:
+    def _key(self) -> tuple:
         # Order and splitting of the pairs are presentation-irrelevant.
         if self._multiset is None:
             merged: dict[InertiaComponent, int] = {}
-            for c, count in self._sectors:
+            for c, count in self.sectors:
                 merged[c] = merged.get(c, 0) + count
-            self._multiset = frozenset(merged.items())
-        return self._multiset
+            object.__setattr__(self, "_multiset", frozenset(merged.items()))
+        return (self.dim_n, self.name, self._multiset)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, OrbifoldPresentation):
             return NotImplemented
-        return (
-            self._dim_n == other._dim_n
-            and self._name == other._name
-            and self._counts() == other._counts()
-        )
+        return self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash((self._dim_n, self._name, self._counts()))
+        return hash(self._key())
 
     def __repr__(self) -> str:
-        total = sum(count for _, count in self._sectors)
-        return f"OrbifoldPresentation(name={self._name!r}, dim_n={self._dim_n}, {total} components)"
+        total = sum(count for _, count in self.sectors)
+        return f"OrbifoldPresentation(name={self.name!r}, dim_n={self.dim_n}, {total} components)"
 
 
 def is_gorenstein(p: OrbifoldPresentation) -> bool:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Mapping, Optional
 
 from .diamond import (
     ColumnVector,
@@ -95,12 +95,8 @@ def check_partners(a: HodgeDiamond, b: HodgeDiamond, strict_dim3: bool = False) 
         raise DimensionMismatchError(f"dimensions differ: {a.dim_n} vs {b.dim_n}")
     n = a.dim_n
 
-    failures: list[Mismatch] = []
-    ca, cb = columns(a), columns(b)
-    for i in range(-n, n + 1):
-        if ca[i] != cb[i]:
-            failures.append(Mismatch("columns", i, ca[i], cb[i]))
-    columns_equal = ca == cb
+    failures = _differences("columns", columns(a).cols, columns(b).cols)
+    columns_equal = not failures
 
     def compare(constraint: str, p: int, q: int) -> bool:
         left, right = a.entry(p, q), b.entry(p, q)
@@ -112,22 +108,22 @@ def check_partners(a: HodgeDiamond, b: HodgeDiamond, strict_dim3: bool = False) 
     hn0_equal = compare("hn0", n, 0)
     hn10_equal = compare("hn10", n - 1, 0)
 
+    # Stored keys only, as in `_differences`: a loop over range(n) would not end for a huge n.
+    edge = sorted({q.numerator for d in (a, b) for p, q in d.keys() if p == 0 and 2 <= q < n})
     informational = tuple(
         Mismatch("h0q", (0, q), a.entry(0, q), b.entry(0, q))
-        for q in range(2, n)
+        for q in edge
         if a.entry(0, q) != b.entry(0, q)
     )
 
     strict_equal: Optional[bool] = None
     if strict_dim3 and n <= 3 and a.is_integer_graded() and b.is_integer_graded():
-        diffs = _entry_differences(a, b, "entry")
+        diffs = _differences("entry", a.entries, b.entries)
         failures.extend(diffs)
         strict_equal = not diffs
 
-    booleans = [columns_equal, h01_equal, hn0_equal, hn10_equal]
-    if strict_equal is not None:
-        booleans.append(strict_equal)
-    verdict = Verdict.COMPATIBLE_SO_FAR if all(booleans) else Verdict.INCOMPATIBLE
+    # Every false comparison above recorded a failure.
+    verdict = Verdict.INCOMPATIBLE if failures else Verdict.COMPATIBLE_SO_FAR
     return PartnerReport(
         columns_equal=columns_equal,
         h01_equal=h01_equal,
@@ -140,10 +136,11 @@ def check_partners(a: HodgeDiamond, b: HodgeDiamond, strict_dim3: bool = False) 
     )
 
 
-def _entry_differences(a: HodgeDiamond, b: HodgeDiamond, constraint: str) -> list[Mismatch]:
+def _differences(constraint: str, a: Mapping, b: Mapping) -> list[Mismatch]:
+    """Mismatches over the stored keys of either map, in key order; absent keys hold 0."""
     diffs = []
-    for key in sorted(set(a.keys()) | set(b.keys())):
-        left, right = a.entry(*key), b.entry(*key)
+    for key in sorted(a.keys() | b.keys()):
+        left, right = a.get(key, 0), b.get(key, 0)
         if left != right:
             diffs.append(Mismatch(constraint, key, left, right))
     return diffs
@@ -294,5 +291,5 @@ def mckay_compare(orb: HodgeDiamond, resolution: HodgeDiamond) -> McKayReport:
         )
     if not resolution.is_integer_graded():
         raise ValidationError("a resolution is smooth; its diamond must be integer graded")
-    diffs = _entry_differences(orb, resolution, "entry")
+    diffs = _differences("entry", orb.entries, resolution.entries)
     return McKayReport(equal=not diffs, differences=tuple(diffs))

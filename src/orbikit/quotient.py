@@ -33,8 +33,8 @@ from .errors import (
 )
 from .inertia import InertiaComponent, OrbifoldPresentation
 
-#: Default cap on the group order enumerated by `build_projective_quotient`.
-DEFAULT_MAX_GROUP_ORDER = 10_000
+#: Cap on the group order enumerated by `build_projective_quotient`.
+MAX_GROUP_ORDER = 10_000
 
 
 @dataclass(frozen=True)
@@ -126,11 +126,7 @@ def _eigenvalue_exponents(spec: ProjectiveQuotientSpec, t: tuple[int, ...], big_
     return out
 
 
-def build_projective_quotient(
-    spec: ProjectiveQuotientSpec,
-    max_group_order: int = DEFAULT_MAX_GROUP_ORDER,
-    name: str | None = None,
-) -> OrbifoldPresentation:
+def build_projective_quotient(spec: ProjectiveQuotientSpec, name: str | None = None) -> OrbifoldPresentation:
     """Inertia presentation of P^n by a diagonal abelian action.
 
     For every group element g the coordinates split into eigenspaces
@@ -143,13 +139,13 @@ def build_projective_quotient(
 
     Raises ScalarActionError if a nonidentity element acts as a scalar
     (the action would not be effective on P^n), PseudoReflectionError if
-    some element fixes a hyperplane, and GroupTooLargeError when the group
-    order exceeds `max_group_order`.
+    some element fixes a hyperplane.  A group order above `MAX_GROUP_ORDER`
+    (10 000) raises GroupTooLargeError before any element is enumerated.
     """
     n = spec.proj_dim_n
     order = spec.group_order
-    if order > max_group_order:
-        raise GroupTooLargeError(f"group order {order} exceeds the limit {max_group_order}")
+    if order > MAX_GROUP_ORDER:
+        raise GroupTooLargeError(f"group order {order} exceeds the limit {MAX_GROUP_ORDER}")
     big = math.lcm(1, *spec.cyclic_orders)
     # Every fixed component is a P^k, k <= n: one shared diamond per k.
     coarse = [HodgeDiamond.projective_space(k) for k in range(n + 1)]

@@ -119,11 +119,16 @@ def random_presentation(
     return OrbifoldPresentation(n, comps, name=f"random-{rng.getrandbits(32):08x}")
 
 
+def expanded(p: OrbifoldPresentation) -> tuple[InertiaComponent, ...]:
+    """Every sector of `p`, each component repeated `count` times."""
+    return tuple(c for c, count in p.sectors for _ in range(count))
+
+
 def reference_assembly(p: OrbifoldPresentation):
     """Chen-Ruan diamond and stringy E-function by plain Fraction sums.
 
     Independent of the integer lattice in `assemble_diamond`/`stringy_e`:
-    walks the expanded `p.components` (one copy at a time, no counts), takes
+    walks `expanded(p)` (one copy at a time, no counts), takes
     the shift straight from the exponents as Fraction(sum(exps), l) and adds
     Fractions.  Returns (sorted nonzero diamond items, level, nonzero
     stringy terms).
@@ -131,7 +136,7 @@ def reference_assembly(p: OrbifoldPresentation):
     entries: dict[tuple[Fraction, Fraction], int] = {}
     terms: dict[tuple[Fraction, Fraction], int] = {}
     level = 1
-    for c in p.components:
+    for c in expanded(p):
         level = math.lcm(level, c.order_l)
         shift = Fraction(sum(c.exponents), c.order_l)
         for (pp, qq), h in c.coarse_diamond.items():

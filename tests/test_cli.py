@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from orbikit import ParseError, build_kummer
+from orbikit.catalog import catalog_entries, load_catalog_presentation
 from orbikit.cli import main
 from orbikit.formats import diamond_from_obj, diamond_to_obj, dumps, loads
 
@@ -217,6 +219,30 @@ class TestInputs:
             code, out, err = run_cli("diamond", source)
             assert (code, out) == (2, "")
             assert err == f"error: ParseError: {source}: expected an orbifold file, got a bare diamond file\n"
+
+    def test_user_diamond_file_entry_is_a_file_for_the_library_too(self, tmp_path, monkeypatch, k3_diamond):
+        (tmp_path / "k3d.json").write_text(dumps(diamond_to_obj("k3", k3_diamond)))
+        (tmp_path / "myorb.json").write_text(json.dumps({"family": "kummer", "params": {"torus_dim_n": 2}}))
+        monkeypatch.setenv("ORBIKIT_CATALOG_DIR", str(tmp_path))
+        message = "k3d: expected an orbifold file, got a bare diamond file"
+        with pytest.raises(ParseError) as info:
+            load_catalog_presentation(catalog_entries()["k3d"])
+        assert str(info.value) == message
+        assert run_cli("diamond", "k3d") == (2, "", f"error: ParseError: {message}\n")
+        assert load_catalog_presentation(catalog_entries()["myorb"]) == build_kummer(2)
+        code, out, _ = run_cli("catalog", "--format", "json")
+        kinds = {e["name"]: e["kind"] for e in json.loads(out)["entries"]}
+        assert code == 0
+        assert kinds == {"k3d": "file", "myorb": "file", "kummer2": "orbifold", "kummer3": "orbifold",
+                         "p2_mu3": "orbifold", "pn_trivial": "orbifold", "quintic_columns": "columns"}
+        code, _, err = run_cli("diamond", "quintic_columns")
+        assert code == 2 and "not an orbifold" in err
+
+    def test_partners_in_a_huge_dimension_is_bounded(self, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"name": "big", "dim": 10**12, "entries": [{"p": 0, "q": 0, "h": 1}]}))
+        code, out, err = run_cli("partners", str(path), str(path))
+        assert code == 0 and err == "" and "verdict: CompatibleSoFar" in out
 
     def test_huge_count_is_not_expanded(self, tmp_path):
         torus = [{"p": 0, "q": 0, "h": 1}, {"p": 2, "q": 0, "h": 1}, {"p": 0, "q": 2, "h": 1},

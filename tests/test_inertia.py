@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import pickle
 from fractions import Fraction
 from types import SimpleNamespace
@@ -24,7 +25,7 @@ from orbikit import (
     stringy_e,
 )
 from orbikit.formats import presentation_from_obj, presentation_to_obj
-from support import K3_DIAMOND, KUMMER3_DIAMOND, random_presentation, reference_assembly
+from support import K3_DIAMOND, KUMMER3_DIAMOND, expanded, random_presentation, reference_assembly
 
 POINT = HodgeDiamond.point()
 
@@ -104,6 +105,35 @@ class TestComponentValueSemantics:
         assert pickle.loads(pickle.dumps(c)) == c
 
 
+class TestPresentationValueSemantics:
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(OrbifoldPresentation)])
+    def test_fields_are_read_only(self, field):
+        p = build_kummer(2)
+        with pytest.raises(AttributeError):
+            setattr(p, field, getattr(p, field))
+
+    def test_copy_and_pickle_round_trips(self, rng):
+        for p in (build_kummer(3), random_presentation(rng)):
+            hash(p)  # fill the multiset cache first
+            for q in (copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+                assert q == p and hash(q) == hash(p) and q.sectors == p.sectors
+
+    def test_replace_starts_a_fresh_multiset(self):
+        a = InertiaComponent(2, (1, 1), POINT, label="a")
+        p = OrbifoldPresentation(2, [untwisted(2), (a, 3)], name="x")
+        hash(p)
+        renamed = dataclasses.replace(p, name="y")
+        assert renamed._multiset is None
+        assert renamed == OrbifoldPresentation(2, [untwisted(2), (a, 3)], name="y") != p
+        fewer = dataclasses.replace(p, sectors=[untwisted(2), (a, 2)])
+        assert fewer == OrbifoldPresentation(2, [untwisted(2), a, a], name="x") != p
+        with pytest.raises(ValidationError):
+            dataclasses.replace(p, dim_n=3)
+
+    def test_repr_is_one_short_line(self):
+        assert repr(build_kummer(20)) == f"OrbifoldPresentation(name='kummer20', dim_n=20, {4**20 + 1} components)"
+
+
 class TestPresentationValidation:
     def test_requires_exactly_one_untwisted(self):
         with pytest.raises(ValidationError):
@@ -138,10 +168,10 @@ class TestMultiplicities:
     def both_forms(rng, p):
         """`p` with random counts, once from repeated components and once
         from (component, count) pairs, some split in two."""
-        counts = [1 if c.is_untwisted else rng.randint(1, 4) for c in p.components]
-        repeated = [c for c, k in zip(p.components, counts) for _ in range(k)]
+        counts = [1 if c.is_untwisted else rng.randint(1, 4) for c in expanded(p)]
+        repeated = [c for c, k in zip(expanded(p), counts) for _ in range(k)]
         pairs = []
-        for c, k in zip(p.components, counts):
+        for c, k in zip(expanded(p), counts):
             pairs += [(c, k)] if k < 2 or rng.random() < 0.5 else [(c, 1), (c, k - 1)]
         rng.shuffle(pairs)
         return (
@@ -153,7 +183,7 @@ class TestMultiplicities:
         for _ in range(25):
             a, b = self.both_forms(rng, random_presentation(rng))
             assert a == b and hash(a) == hash(b)
-            assert len(a.components) == len(b.components)
+            assert len(expanded(a)) == len(expanded(b))
             assert assemble_diamond(a) == assemble_diamond(b)
             assert assemble_diamond(b).total() == sum(k * c.coarse_diamond.total() for c, k in b.sectors)
             assert assemble_diamond(a).level == assemble_diamond(b).level
@@ -211,7 +241,7 @@ class TestAssembleDiamond:
     def test_total_is_sum_of_coarse_totals(self, rng):
         for _ in range(25):
             p = random_presentation(rng)
-            expected = sum(c.coarse_diamond.total() for c in p.components)
+            expected = sum(c.coarse_diamond.total() for c in expanded(p))
             assert assemble_diamond(p).total() == expected
 
     def test_gorenstein_iff_integer_graded(self, rng):
@@ -223,7 +253,7 @@ class TestAssembleDiamond:
         # |p - q| of a twisted contribution is bounded by dim Z <= n - 2.
         for _ in range(25):
             p = random_presentation(rng)
-            for c in p.components:
+            for c in expanded(p):
                 if c.is_untwisted:
                     continue
                 dim_z = c.coarse_diamond.dim_n
@@ -234,7 +264,7 @@ class TestAssembleDiamond:
     def test_age_zero_iff_untwisted(self, rng):
         for _ in range(25):
             p = random_presentation(rng)
-            for c in p.components:
+            for c in expanded(p):
                 assert (c.age() == 0) == c.is_untwisted
 
     def test_symmetries_hold_on_random_presentations(self, rng):
@@ -274,7 +304,7 @@ class TestFractionReference:
         for _ in range(40):
             p = random_presentation(rng, max_sectors=12)
             gorenstein.append(is_gorenstein(p))
-            assert is_gorenstein(p) == all(c.age().denominator == 1 for c in p.components)
+            assert is_gorenstein(p) == all(c.age().denominator == 1 for c in expanded(p))
             for form in (p, *TestMultiplicities.both_forms(rng, p)):
                 self.assert_matches_reference(form)
         assert True in gorenstein and False in gorenstein

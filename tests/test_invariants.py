@@ -111,6 +111,28 @@ class TestCheckPartners:
         ok = check_partners(k3_diamond, k3_diamond, strict_dim3=True)
         assert ok.strict_equal is True
 
+    def test_mismatches_match_a_walk_over_every_index(self, rng):
+        # The comparison visits stored keys only; walking every column in
+        # [-n, n] and every 2 <= q < n must find the same mismatches, in order.
+        for _ in range(60):
+            n = rng.randint(0, 5)
+            a, b = (
+                HodgeDiamond(n, {(rng.randint(0, n), rng.randint(0, n)): rng.randint(0, 2) for _ in range(8)})
+                for _ in range(2)
+            )
+            report = check_partners(a, b)
+            ca, cb = columns(a), columns(b)
+            assert [(m.index, m.left, m.right) for m in report.failures if m.constraint == "columns"] == [
+                (i, ca[i], cb[i]) for i in range(-n, n + 1) if ca[i] != cb[i]
+            ]
+            assert [(m.index, m.left, m.right) for m in report.informational] == [
+                ((0, q), a.entry(0, q), b.entry(0, q)) for q in range(2, n) if a.entry(0, q) != b.entry(0, q)
+            ]
+            assert all(type(m.index[1]) is int for m in report.informational)
+            assert (report.verdict is Verdict.COMPATIBLE_SO_FAR) == (
+                columns(a) == columns(b) and all(a.entry(*k) == b.entry(*k) for k in [(0, 1), (n, 0), (n - 1, 0)])
+            )
+
     def test_reflexive_on_all_builtins(self, kummer2, kummer3, p2_mu3):
         for p in (kummer2, kummer3, p2_mu3):
             d = assemble_diamond(p)
