@@ -84,51 +84,37 @@ def render_diamond(name: str, d: HodgeDiamond, fmt: str) -> str:
     raise ValueError(f"unknown format {fmt!r}")
 
 
-def _mismatch_index_json(index):
-    if isinstance(index, tuple):
-        return [grade_to_json(Fraction(x)) for x in index]
-    return index
+def _format_index(index, grade, join=list):
+    """A column index as is; a (p, q) index as its two grades through `grade`, then `join`."""
+    return join(grade(Fraction(x)) for x in index) if isinstance(index, tuple) else index
 
 
 def _mismatch_to_json(m: Mismatch) -> dict:
-    return {
-        "constraint": m.constraint,
-        "index": _mismatch_index_json(m.index),
-        "left": m.left,
-        "right": m.right,
-    }
+    """The fields of `m` in order, with the index in JSON form."""
+    return {**vars(m), "index": _format_index(m.index, grade_to_json)}
 
 
 def render_partners(report: PartnerReport, fmt: str) -> str:
+    flags = {name: getattr(report, f"{name}_equal") for name in ("columns", "h01", "hn0", "hn10")}
     if fmt == "json":
         return dumps(
             {
-                "columns_equal": report.columns_equal,
-                "h01_equal": report.h01_equal,
-                "hn0_equal": report.hn0_equal,
-                "hn10_equal": report.hn10_equal,
+                **{f"{name}_equal": ok for name, ok in flags.items()},
                 "strict_equal": report.strict_equal,
                 "verdict": report.verdict.value,
                 "failures": [_mismatch_to_json(m) for m in report.failures],
                 "informational": [_mismatch_to_json(m) for m in report.informational],
             }
         )
-    lines = []
-    for label, ok in [
-        ("columns", report.columns_equal),
-        ("h01", report.h01_equal),
-        ("hn0", report.hn0_equal),
-        ("hn10", report.hn10_equal),
-    ]:
-        lines.append(f"{label}: {'equal' if ok else 'MISMATCH'}")
+    lines = [f"{name}: {'equal' if ok else 'MISMATCH'}" for name, ok in flags.items()]
     if report.strict_equal is not None:
         lines.append(f"strict: {'equal' if report.strict_equal else 'MISMATCH'}")
     for m in report.failures:
-        index = m.index if not isinstance(m.index, tuple) else ",".join(format_grade(Fraction(x)) for x in m.index)
+        index = _format_index(m.index, format_grade, ",".join)
         lines.append(f"  {m.constraint}[{index}]: {m.left} vs {m.right}")
     for m in report.informational:
-        index = ",".join(format_grade(Fraction(x)) for x in m.index)
-        lines.append(f"info: h0q[{index}]: {m.left} vs {m.right} (not verdict-affecting)")
+        index = _format_index(m.index, format_grade, ",".join)
+        lines.append(f"info: {m.constraint}[{index}]: {m.left} vs {m.right} (not verdict-affecting)")
     lines.append(f"verdict: {report.verdict.value}")
     if report.verdict is Verdict.COMPATIBLE_SO_FAR:
         lines.append(PARTNER_NOTE)

@@ -11,8 +11,8 @@ package.
 
 Besides the diamond itself the module provides its two classical
 symmetries (Serre duality and conjugation/Hodge symmetry), the diagonal
-column sums that compute Hochschild homology dimensions, and the signed
-stringy E-polynomial of an orbifold presentation.
+column sums that compute Hochschild homology dimensions, and the stringy
+E-polynomial of an orbifold presentation (its diamond signed by (-1)^{p-q}).
 """
 
 from __future__ import annotations
@@ -249,14 +249,14 @@ class StringyPolynomial(_SparseMap):
         return self._map.get((as_grade(p), as_grade(q)), 0)
 
 
-def shifted_sum(presentation: "OrbifoldPresentation", signed: bool = False) -> tuple[int, list[tuple[GradeKey, int]]]:
+def shifted_sum(presentation: "OrbifoldPresentation") -> tuple[int, list[tuple[GradeKey, int]]]:
     """Sum every sector's coarse entries, age-shifted, on the lattice (1/level)Z.
 
     Returns the level (lcm of the sector orders) and the nonzero items,
-    sorted by key, of (p' + a, q' + a) -> sum of h^{p',q'} times the count; with
-    `signed`, each term carries (-1)^{p'+q'}.  A grade x is summed as the
-    integer x*level, and each distinct numerator becomes a `Fraction` once
-    at the end.  Raises OutOfRangeError if a shifted grade leaves [0, n].
+    sorted by key, of (p' + a, q' + a) -> sum of h^{p',q'} times the count.
+    A grade x is summed as the integer x*level, and each distinct numerator
+    becomes a `Fraction` once at the end.  Raises OutOfRangeError if a
+    shifted grade leaves [0, n].
     """
     n = presentation.dim_n
     level = math.lcm(*(c.order_l for c, _ in presentation.sectors))
@@ -266,8 +266,6 @@ def shifted_sum(presentation: "OrbifoldPresentation", signed: bool = False) -> t
         shift = sum(c.exponents) * (level // c.order_l)
         for (p, q), h in c.coarse_diamond.items():
             pp, qq = p.numerator, q.numerator
-            if signed and (pp + qq) % 2:
-                h = -h
             kp, kq = pp * level + shift, qq * level + shift
             if not (0 <= kp <= top and 0 <= kq <= top):
                 raise OutOfRangeError(
@@ -324,11 +322,15 @@ def stringy_e(presentation: "OrbifoldPresentation") -> StringyPolynomial:
     """Stringy E-polynomial of an orbifold presentation.
 
     Each sector with age a and coarse-space Hodge numbers h^{p',q'}
-    contributes (-1)^{p'+q'} h^{p',q'} at (p'+a, q'+a), once per copy.  The sign is taken
-    from the integer bidegrees of the underlying variety before shifting,
-    since (-1)^{p+q} is ill-defined for fractional exponents.  The exponents
-    are summed as integers on (1/level)Z (`shifted_sum`) and exposed as
-    exact Fractions.  For Gorenstein quotient singularities the result
-    agrees with Batyrev's stringy invariant.
+    contributes (-1)^{p'+q'} h^{p',q'} at (p'+a, q'+a), once per copy.
+    Since p - q = p' - q' has the parity of p' + q', that sign is (-1)^{p-q}
+    (an integer power even at fractional grades), so no two contributions
+    to one key cancel: the result is the `shifted_sum` diamond signed by
+    (-1)^{p-q}.  For Gorenstein quotient singularities the result agrees
+    with Batyrev's stringy invariant.
     """
-    return StringyPolynomial(dict(shifted_sum(presentation, signed=True)[1]))
+    # p and q share their denominator because p - q is an integer.
+    return StringyPolynomial({
+        (p, q): -h if (p.numerator - q.numerator) // p.denominator % 2 else h
+        for (p, q), h in shifted_sum(presentation)[1]
+    })

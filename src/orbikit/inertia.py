@@ -40,15 +40,14 @@ from .errors import PseudoReflectionError, ValidationError
 class InertiaComponent:
     """One sector of the inertia decomposition.
 
-    Validation enforces the pseudo-reflection exclusion (a twisted sector
-    has at least two nonzero exponents, i.e. codimension >= 2), that the
-    coarse diamond is integer graded of dimension equal to the number of
-    zero exponents, and that the tangent eigenvalues generate the full
-    cyclic group of order l: the least common multiple of the additive
-    orders l/gcd(a_k, l) equals l.  The last condition is faithfulness of
-    the isotropy representation; a single exponent coprime to l is
-    sufficient but not necessary (e.g. exponents (2,2,3,3) at l = 6 occur
-    at isolated fixed points of diagonal actions on P^4).
+    The one place that states the sector rules: a twisted sector has at
+    least two nonzero exponents (no pseudo-reflections, codimension >= 2),
+    the coarse diamond is integer graded of dimension equal to the number
+    of zero exponents, and gcd(l, a_1, ..., a_n) = 1.  The a_k generate a
+    subgroup of Z/l of order l / gcd(l, a_1, ..., a_n), so the last rule is
+    faithfulness of the isotropy representation.  A single exponent coprime
+    to l is sufficient but not necessary (e.g. exponents (2,2,3,3) at l = 6
+    occur at isolated fixed points of diagonal actions on P^4).
     """
 
     order_l: int
@@ -57,7 +56,7 @@ class InertiaComponent:
     label: str = ""
 
     def __post_init__(self):
-        order_l, coarse_diamond = self.order_l, self.coarse_diamond
+        order_l, coarse_diamond, label = self.order_l, self.coarse_diamond, str(self.label)
         if not is_int(order_l) or order_l < 1:
             raise ValidationError(f"sector order must be a positive integer, got {order_l!r}")
         exps = tuple(self.exponents)
@@ -69,10 +68,9 @@ class InertiaComponent:
         # At order 1 the range check leaves only zeros, which pass the checks below.
         nonzero = [a for a in exps if a]
         if len(nonzero) == 1:
-            raise PseudoReflectionError(
-                f"sector with exponents {exps} fixes a codimension-one locus"
-            )
-        if math.lcm(*(order_l // math.gcd(a, order_l) for a in exps)) != order_l:
+            named = f"sector {label!r}" if label else "sector"
+            raise PseudoReflectionError(f"{named} with exponents {exps} fixes a codimension-one locus")
+        if math.gcd(order_l, *exps) != 1:
             raise ValidationError(
                 f"exponents {exps} do not realize an automorphism of order {order_l}"
             )
@@ -87,7 +85,7 @@ class InertiaComponent:
                 f"but the exponents fix {n_fixed} directions"
             )
         object.__setattr__(self, "exponents", exps)
-        object.__setattr__(self, "label", str(self.label))
+        object.__setattr__(self, "label", label)
 
     @property
     def is_untwisted(self) -> bool:

@@ -55,31 +55,45 @@ class Mismatch:
     right: int
 
 
+def _holds(constraint: str) -> property:
+    """A read-only flag of a PartnerReport: `failures` has no mismatch of `constraint`."""
+    return property(lambda self: all(m.constraint != constraint for m in self.failures))
+
+
 @dataclass(frozen=True)
 class PartnerReport:
     """Outcome of the necessary-condition comparison of two diamonds.
 
-    `strict_equal` is None unless strict mode was applicable and requested
-    (both diamonds integer-graded, dimension <= 3), in which case full
-    entrywise equality also enters the verdict.  `informational` lists
-    h^{0,q} mismatches for 2 <= q <= n-1; these never affect the verdict
-    since their invariance is not known in general.
+    `failures` holds every verdict-affecting mismatch (columns, h01, hn0,
+    hn10, then strict entries); each flag holds when it has no mismatch of
+    its constraint, and the verdict is INCOMPATIBLE exactly when it is
+    non-empty.  `strict_equal` is None unless strict mode was applicable
+    and requested (both diamonds integer-graded, dimension <= 3).
+    `informational` lists h^{0,q} mismatches for 2 <= q <= n-1; these never
+    affect the verdict since their invariance is not known in general.
     """
 
-    columns_equal: bool
-    h01_equal: bool
-    hn0_equal: bool
-    hn10_equal: bool
-    verdict: Verdict
     failures: tuple[Mismatch, ...] = ()
     informational: tuple[Mismatch, ...] = ()
     strict_equal: Optional[bool] = None
 
+    columns_equal = _holds("columns")
+    h01_equal = _holds("h01")
+    hn0_equal = _holds("hn0")
+    hn10_equal = _holds("hn10")
+
+    @property
+    def verdict(self) -> Verdict:
+        return Verdict.INCOMPATIBLE if self.failures else Verdict.COMPATIBLE_SO_FAR
+
 
 @dataclass(frozen=True)
 class McKayReport:
-    equal: bool
     differences: tuple[Mismatch, ...] = ()
+
+    @property
+    def equal(self) -> bool:
+        return not self.differences
 
 
 def check_partners(a: HodgeDiamond, b: HodgeDiamond, strict_dim3: bool = False) -> PartnerReport:
@@ -95,26 +109,15 @@ def check_partners(a: HodgeDiamond, b: HodgeDiamond, strict_dim3: bool = False) 
         raise DimensionMismatchError(f"dimensions differ: {a.dim_n} vs {b.dim_n}")
     n = a.dim_n
 
+    def entries_at(keys) -> tuple[dict, dict]:
+        return tuple({key: d.entry(*key) for key in keys} for d in (a, b))
+
     failures = _differences("columns", columns(a).cols, columns(b).cols)
-    columns_equal = not failures
-
-    def compare(constraint: str, p: int, q: int) -> bool:
-        left, right = a.entry(p, q), b.entry(p, q)
-        if left != right:
-            failures.append(Mismatch(constraint, (p, q), left, right))
-        return left == right
-
-    h01_equal = compare("h01", 0, 1)
-    hn0_equal = compare("hn0", n, 0)
-    hn10_equal = compare("hn10", n - 1, 0)
-
+    for constraint, key in (("h01", (0, 1)), ("hn0", (n, 0)), ("hn10", (n - 1, 0))):
+        failures += _differences(constraint, *entries_at([key]))
     # Stored keys only, as in `_differences`: a loop over range(n) would not end for a huge n.
-    edge = sorted({q.numerator for d in (a, b) for p, q in d.keys() if p == 0 and 2 <= q < n})
-    informational = tuple(
-        Mismatch("h0q", (0, q), a.entry(0, q), b.entry(0, q))
-        for q in edge
-        if a.entry(0, q) != b.entry(0, q)
-    )
+    edge = {(0, q.numerator) for d in (a, b) for p, q in d.keys() if p == 0 and 2 <= q < n}
+    informational = tuple(_differences("h0q", *entries_at(edge)))
 
     strict_equal: Optional[bool] = None
     if strict_dim3 and n <= 3 and a.is_integer_graded() and b.is_integer_graded():
@@ -122,18 +125,7 @@ def check_partners(a: HodgeDiamond, b: HodgeDiamond, strict_dim3: bool = False) 
         failures.extend(diffs)
         strict_equal = not diffs
 
-    # Every false comparison above recorded a failure.
-    verdict = Verdict.INCOMPATIBLE if failures else Verdict.COMPATIBLE_SO_FAR
-    return PartnerReport(
-        columns_equal=columns_equal,
-        h01_equal=h01_equal,
-        hn0_equal=hn0_equal,
-        hn10_equal=hn10_equal,
-        verdict=verdict,
-        failures=tuple(failures),
-        informational=informational,
-        strict_equal=strict_equal,
-    )
+    return PartnerReport(tuple(failures), informational, strict_equal)
 
 
 def _differences(constraint: str, a: Mapping, b: Mapping) -> list[Mismatch]:
@@ -291,5 +283,4 @@ def mckay_compare(orb: HodgeDiamond, resolution: HodgeDiamond) -> McKayReport:
         )
     if not resolution.is_integer_graded():
         raise ValidationError("a resolution is smooth; its diamond must be integer graded")
-    diffs = _differences("entry", orb.entries, resolution.entries)
-    return McKayReport(equal=not diffs, differences=tuple(diffs))
+    return McKayReport(tuple(_differences("entry", orb.entries, resolution.entries)))

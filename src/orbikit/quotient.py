@@ -20,6 +20,7 @@ actions) must be entered as raw inertia data instead.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 
@@ -27,13 +28,13 @@ from .diamond import HodgeDiamond, is_int
 from .errors import (
     DimensionTooSmallError,
     GroupTooLargeError,
-    PseudoReflectionError,
     ScalarActionError,
     ValidationError,
 )
 from .inertia import InertiaComponent, OrbifoldPresentation
 
-#: Cap on the group order enumerated by `build_projective_quotient`.
+#: The one enumeration budget of every generator: the group order of a
+#: projective quotient, the (p, q) pairs of a Kummer torus diamond.
 MAX_GROUP_ORDER = 10_000
 
 
@@ -138,9 +139,10 @@ def build_projective_quotient(spec: ProjectiveQuotientSpec, name: str | None = N
     component.  The identity element contributes the untwisted P^n sector.
 
     Raises ScalarActionError if a nonidentity element acts as a scalar
-    (the action would not be effective on P^n), PseudoReflectionError if
-    some element fixes a hyperplane.  A group order above `MAX_GROUP_ORDER`
-    (10 000) raises GroupTooLargeError before any element is enumerated.
+    (the action would not be effective on P^n).  If g fixes a hyperplane
+    P(V_chi), that component's PseudoReflectionError names `g=(t) eig=chi`.
+    A group order above `MAX_GROUP_ORDER` (10 000) raises GroupTooLargeError
+    before any element is enumerated.
     """
     n = spec.proj_dim_n
     order = spec.group_order
@@ -156,7 +158,8 @@ def build_projective_quotient(spec: ProjectiveQuotientSpec, name: str | None = N
             components.append(InertiaComponent(1, (0,) * n, coarse[n], label="untwisted"))
             continue
         eig = _eigenvalue_exponents(spec, t, big)
-        if len(set(eig)) == 1:
+        multiplicity = Counter(eig)
+        if len(multiplicity) == 1:
             raise ScalarActionError(
                 f"element with generator powers {t} acts as a scalar on P^{n}"
             )
@@ -164,14 +167,6 @@ def build_projective_quotient(spec: ProjectiveQuotientSpec, name: str | None = N
         # differences killed mod the big order.
         g0 = math.gcd(big, *(((e - eig[0]) % big) for e in eig))
         l = big // g0
-        multiplicity: dict[int, int] = {}
-        for e in eig:
-            multiplicity[e] = multiplicity.get(e, 0) + 1
-        if max(multiplicity.values()) == n:
-            chi = max(multiplicity, key=multiplicity.get)
-            raise PseudoReflectionError(
-                f"element with generator powers {t} fixes the hyperplane P(V_{chi}) in P^{n}"
-            )
         t_label = ",".join(map(str, t))
         for chi in sorted(multiplicity):
             d = multiplicity[chi]
@@ -204,11 +199,16 @@ def build_kummer(spec: KummerSpec | int, name: str | None = None) -> OrbifoldPre
     The 2^{2n} two-torsion points are the fixed locus of the involution;
     each gives an order-2 point sector with exponents (1, ..., 1) and age
     n/2, stored once with count 4^n.  Accepts either a KummerSpec or the
-    dimension n directly.
+    dimension n directly.  Raises GroupTooLargeError, before building,
+    when the (n + 1)^2 pairs (p, q) exceed `MAX_GROUP_ORDER`.
     """
     if isinstance(spec, int):
         spec = KummerSpec(spec)
     n = spec.torus_dim_n
+    if (n + 1) ** 2 > MAX_GROUP_ORDER:
+        raise GroupTooLargeError(
+            f"torus dimension {n} has {(n + 1) ** 2} Hodge pairs, which exceeds the limit {MAX_GROUP_ORDER}"
+        )
     components = [
         InertiaComponent(1, (0,) * n, torus_invariant_diamond(n), label="untwisted"),
         (InertiaComponent(2, (1,) * n, HodgeDiamond.point(), label="2-torsion point"), 4**n),

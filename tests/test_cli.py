@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -60,6 +61,70 @@ def test_golden(name, args, monkeypatch):
     code, out, err = run_cli(*args)
     assert code == 0 and err == ""
     check_golden(name, out)
+
+
+MISMATCH_GOLDEN_CASES = [
+    ("partners_kummer2_p2_mu3_strict.txt", ["partners", "kummer2", "p2_mu3", "--strict-dim3"]),
+    ("partners_kummer2_p2_mu3_strict.json", ["partners", "kummer2", "p2_mu3", "--strict-dim3", "--format", "json"]),
+]
+
+DIM4_PAIR_TEXT = """\
+columns: MISMATCH
+h01: MISMATCH
+hn0: equal
+hn10: MISMATCH
+  columns[-3]: 0 vs 2
+  columns[-2]: 1 vs 0
+  columns[-1]: 0 vs 1
+  columns[3]: 2 vs 0
+  h01[0,1]: 0 vs 1
+  hn10[3,0]: 2 vs 0
+info: h0q[0,2]: 1 vs 0 (not verdict-affecting)
+info: h0q[0,3]: 0 vs 2 (not verdict-affecting)
+verdict: Incompatible
+"""
+
+
+class TestMismatchRendering:
+    """Failure and informational lines, pinned before any change to how they are built."""
+
+    @pytest.mark.parametrize("name,args", MISMATCH_GOLDEN_CASES, ids=[c[0] for c in MISMATCH_GOLDEN_CASES])
+    def test_golden(self, name, args, monkeypatch):
+        monkeypatch.delenv("ORBIKIT_CATALOG_DIR", raising=False)
+        code, out, err = run_cli(*args)
+        assert code == 1 and err == ""
+        check_golden(name, out)
+
+    def test_dim4_pair_with_informational_line_and_fractional_entry(self, tmp_path):
+        a, b = tmp_path / "a4.json", tmp_path / "b4.json"
+        a.write_text(json.dumps({"name": "a4", "dim": 4, "entries": [
+            {"p": 0, "q": 0, "h": 1}, {"p": 0, "q": 2, "h": 1}, {"p": 3, "q": 0, "h": 2},
+            {"p": "3/2", "q": "3/2", "h": 2}, {"p": 4, "q": 4, "h": 1},
+        ]}))
+        b.write_text(json.dumps({"name": "b4", "dim": 4, "entries": [
+            {"p": 0, "q": 0, "h": 1}, {"p": 0, "q": 1, "h": 1}, {"p": 0, "q": 3, "h": 2},
+            {"p": 2, "q": 2, "h": 2}, {"p": 4, "q": 4, "h": 1},
+        ]}))
+        code, out, err = run_cli("partners", str(a), str(b))
+        assert (code, out, err) == (1, DIM4_PAIR_TEXT, "")
+        code, out, err = run_cli("partners", str(a), str(b), "--format", "json", "--strict-dim3")
+        assert code == 1 and err == ""
+        payload = json.loads(out)
+        assert [payload[f"{k}_equal"] for k in ("columns", "h01", "hn0", "hn10", "strict")] == [
+            False, False, True, False, None,
+        ]
+        assert payload["verdict"] == "Incompatible"
+        assert [(m["constraint"], m["index"], m["left"], m["right"]) for m in payload["failures"]] == [
+            ("columns", -3, 0, 2), ("columns", -2, 1, 0), ("columns", -1, 0, 1), ("columns", 3, 2, 0),
+            ("h01", [0, 1], 0, 1), ("hn10", [3, 0], 2, 0),
+        ]
+        assert [(m["constraint"], m["index"], m["left"], m["right"]) for m in payload["informational"]] == [
+            ("h0q", [0, 2], 1, 0), ("h0q", [0, 3], 0, 2),
+        ]
+        assert list(payload) == [
+            "columns_equal", "h01_equal", "hn0_equal", "hn10_equal", "strict_equal",
+            "verdict", "failures", "informational",
+        ]
 
 
 class TestExitCodes:
@@ -199,6 +264,15 @@ class TestInputs:
         path.write_text(json.dumps({"family": "kummer", "params": {"torus_dim_n": 2}}))
         code, out, _ = run_cli("diamond", str(path), "--format", "json")
         assert code == 0 and json.loads(out)["name"] == "kummer2"
+
+    def test_huge_kummer_generator_is_refused_before_building(self, tmp_path):
+        path = tmp_path / "gen.json"
+        path.write_text(json.dumps({"family": "kummer", "params": {"torus_dim_n": 3000}}))
+        start = time.perf_counter()
+        code, out, err = run_cli("diamond", str(path))
+        assert time.perf_counter() - start < 1
+        assert code == 3 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: GroupTooLargeError: torus dimension 3000 ")
 
     def test_user_catalog_dir(self, tmp_path, monkeypatch):
         entry = tmp_path / "myorb.json"

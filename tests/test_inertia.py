@@ -1,7 +1,9 @@
 import copy
 import dataclasses
+import math
 import pickle
 from fractions import Fraction
+from itertools import product
 from types import SimpleNamespace
 
 import pytest
@@ -71,6 +73,30 @@ class TestComponentValidation:
         # No single exponent is coprime to 6, but together they realize it.
         c = InertiaComponent(6, (2, 2, 3, 3), POINT)
         assert c.age() == Fraction(5, 3)
+
+    def test_accepts_exactly_the_faithful_tuples(self):
+        # Every tuple of up to 3 exponents at l <= 12: outside the
+        # pseudo-reflections, accepted iff the additive orders l/gcd(a, l)
+        # have lcm l (the definition of faithfulness, stated independently).
+        for l in range(1, 13):
+            for k in range(4):
+                for exps in product(range(l), repeat=k):
+                    nonzero = sum(1 for a in exps if a)
+                    coarse = HodgeDiamond.projective_space(k - nonzero)
+                    if nonzero == 1:
+                        with pytest.raises(PseudoReflectionError):
+                            InertiaComponent(l, exps, coarse)
+                    elif math.lcm(*(l // math.gcd(a, l) for a in exps)) == l:
+                        assert InertiaComponent(l, exps, coarse).exponents == exps
+                    else:
+                        with pytest.raises(ValidationError, match="do not realize an automorphism"):
+                            InertiaComponent(l, exps, coarse)
+
+    def test_pseudo_reflection_names_the_label(self):
+        with pytest.raises(PseudoReflectionError, match=r"^sector 'edge' with exponents \(1, 0\) "):
+            InertiaComponent(2, (1, 0), HodgeDiamond.projective_space(1), label="edge")
+        with pytest.raises(PseudoReflectionError, match=r"^sector with exponents \(1, 0\) "):
+            InertiaComponent(2, (1, 0), HodgeDiamond.projective_space(1))
 
     def test_trivial_twisted_sector_rejected(self):
         with pytest.raises(ValidationError):
@@ -298,6 +324,8 @@ class TestFractionReference:
         assert list(d.items()) == entries and d.level == level
         e = stringy_e(p)
         assert dict(e.items()) == terms and list(e.keys()) == sorted(terms)
+        # The stringy sign (-1)^{p'+q'} is (-1)^{p-q} of the shifted key.
+        assert list(e.items()) == [((pp, qq), (-1) ** int(pp - qq) * h) for (pp, qq), h in d.items()]
 
     def test_random_presentations_repeated_and_paired(self, rng):
         gorenstein = []

@@ -129,9 +129,11 @@ class TestCheckPartners:
                 ((0, q), a.entry(0, q), b.entry(0, q)) for q in range(2, n) if a.entry(0, q) != b.entry(0, q)
             ]
             assert all(type(m.index[1]) is int for m in report.informational)
-            assert (report.verdict is Verdict.COMPATIBLE_SO_FAR) == (
-                columns(a) == columns(b) and all(a.entry(*k) == b.entry(*k) for k in [(0, 1), (n, 0), (n - 1, 0)])
-            )
+            flags = {"columns": ca == cb} | {
+                name: a.entry(*key) == b.entry(*key) for name, key in [("h01", (0, 1)), ("hn0", (n, 0)), ("hn10", (n - 1, 0))]
+            }
+            assert {name: getattr(report, f"{name}_equal") for name in flags} == flags
+            assert (report.verdict is Verdict.COMPATIBLE_SO_FAR) == all(flags.values())
 
     def test_reflexive_on_all_builtins(self, kummer2, kummer3, p2_mu3):
         for p in (kummer2, kummer3, p2_mu3):

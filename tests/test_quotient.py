@@ -56,12 +56,12 @@ class TestProjectiveQuotient:
         assert is_gorenstein(p2_mu3)
 
     def test_pseudo_reflection_on_p1(self):
-        with pytest.raises(PseudoReflectionError):
+        with pytest.raises(PseudoReflectionError, match=r"^sector 'g=\(1\) eig=0' with exponents \(1,\) "):
             build_projective_quotient(spec(1, [2], [[0, 1]]))
 
     def test_pseudo_reflection_from_a_power(self):
-        # The order-2 power of the generator fixes a plane in P^3.
-        with pytest.raises(PseudoReflectionError):
+        # The generator does not, but its square (order 3) fixes a plane in P^3.
+        with pytest.raises(PseudoReflectionError, match=r"^sector 'g=\(2\) eig=0' with exponents \(0, 0, 2\) "):
             build_projective_quotient(spec(3, [6], [[0, 0, 2, 3]]))
 
     def test_trivial_group(self):
@@ -222,6 +222,12 @@ class TestKummer:
         d = assemble_diamond(p)
         assert d.entry(10, 10) == math.comb(20, 10) ** 2 + 4**20
         assert d.total() == 2**39 + 4**20
+
+    def test_torus_pairs_share_the_group_order_budget(self):
+        # (n + 1)^2 pairs (p, q) against MAX_GROUP_ORDER = 10 000.
+        assert build_kummer(99).untwisted.coarse_diamond.entry(0, 0) == 1
+        with pytest.raises(GroupTooLargeError, match=r"^torus dimension 100 has 10201 Hodge pairs"):
+            build_kummer(100)
 
     def test_higher_dimension_sector_count(self):
         p = build_kummer(4)
