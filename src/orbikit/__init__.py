@@ -19,7 +19,6 @@ from .diamond import (
     columns,
     format_grade,
     serre_dual,
-    stringy_e,
 )
 from .errors import (
     DimensionMismatchError,
@@ -42,6 +41,7 @@ from .inertia import (
     assemble_diamond,
     extract_h0q,
     is_gorenstein,
+    stringy_e,
 )
 from .invariants import (
     McKayReport,

@@ -20,6 +20,7 @@ from .errors import OrbikitError, ParseError
 from .formats import diamond_to_obj, document_from_obj, dumps, grade_to_json
 from .inertia import assemble_diamond, is_gorenstein
 from .invariants import Mismatch, PartnerReport, Verdict, check_partners, reconstruct_gorenstein
+from .quotient import MAX_GROUP_ORDER, check_budget
 
 PARTNER_NOTE = "note: necessary conditions only; this never certifies derived equivalence"
 
@@ -30,25 +31,27 @@ def _load_any_diamond(source: str) -> HodgeDiamond:
     return loaded[1] if isinstance(loaded, tuple) else assemble_diamond(loaded)
 
 
-def _grade_axis(d: HodgeDiamond) -> list[Fraction]:
-    values = {Fraction(i) for i in range(d.dim_n + 1)}
-    for p, q in d.keys():
-        values.add(p)
-        values.add(q)
-    return sorted(values)
+def _grid(d: HodgeDiamond, corner: str) -> list[list[str]]:
+    """The dense text grid of `d`: `corner` and the p grades, then each q (top down) and its row.
+
+    Both axes hold [0, n] and every stored grade.  More than
+    `MAX_GROUP_ORDER` cells raise GroupTooLargeError before any is built.
+    """
+    axis = sorted({Fraction(i) for i in range(d.dim_n + 1)}.union(*d.keys()))
+    cells = len(axis) ** 2
+    check_budget(cells, f"a dense grid of {cells} cells exceeds the limit {MAX_GROUP_ORDER}; use --format json or csv")
+    entries = d.entries
+    rows = [[corner] + [format_grade(p) for p in axis]]
+    for q in reversed(axis):
+        rows.append([format_grade(q)] + [str(entries.get((p, q), 0)) for p in axis])
+    return rows
 
 
 def render_table(name: str, d: HodgeDiamond) -> str:
-    axis = _grade_axis(d)
-    header = [r"q\p"] + [format_grade(p) for p in axis]
-    rows = [header]
-    for q in reversed(axis):
-        rows.append([format_grade(q)] + [str(d.entry(p, q)) for p in axis])
-    widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
-    lines = [f"{name}  (dim {d.dim_n}, level {d.level})"]
-    for row in rows:
-        lines.append("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
-    return "\n".join(lines)
+    rows = _grid(d, r"q\p")
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    body = ["  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in rows]
+    return "\n".join([f"{name}  (dim {d.dim_n}, level {d.level})", *body])
 
 
 def render_csv(d: HodgeDiamond) -> str:
@@ -59,29 +62,24 @@ def render_csv(d: HodgeDiamond) -> str:
 
 
 def render_tex(d: HodgeDiamond) -> str:
-    axis = _grade_axis(d)
-    cols = "r|" + "c" * len(axis)
-    lines = [rf"\begin{{tabular}}{{{cols}}}"]
-    head = " & ".join(f"${format_grade(p)}$" for p in axis)
-    lines.append(rf"$q \backslash p$ & {head} \\")
-    lines.append(r"\hline")
-    for q in reversed(axis):
-        body = " & ".join(f"${d.entry(p, q)}$" for p in axis)
-        lines.append(rf"${format_grade(q)}$ & {body} \\")
-    lines.append(r"\end{tabular}")
+    rows = _grid(d, r"q \backslash p")
+    head, *body = [" & ".join(f"${cell}$" for cell in row) + r" \\" for row in rows]
+    lines = [rf"\begin{{tabular}}{{r|{'c' * (len(rows) - 1)}}}", head, r"\hline", *body, r"\end{tabular}"]
     return "\n".join(lines)
 
 
+#: Diamond output formats, the first the default: each renders (name, diamond) as text.
+RENDERERS = {
+    "table": render_table,
+    "json": lambda name, d: dumps(diamond_to_obj(name, d)),
+    "csv": lambda name, d: render_csv(d),
+    "tex": lambda name, d: render_tex(d),
+}
+
+
 def render_diamond(name: str, d: HodgeDiamond, fmt: str) -> str:
-    if fmt == "table":
-        return render_table(name, d)
-    if fmt == "json":
-        return dumps(diamond_to_obj(name, d))
-    if fmt == "csv":
-        return render_csv(d)
-    if fmt == "tex":
-        return render_tex(d)
-    raise ValueError(f"unknown format {fmt!r}")
+    """`d` rendered in the format `fmt`; a KeyError for a name not in `RENDERERS`."""
+    return RENDERERS[fmt](name, d)
 
 
 def _format_index(index, grade, join=list):
@@ -150,21 +148,17 @@ def cmd_diamond(args) -> int:
 
 def cmd_check(args) -> int:
     p = document_from_obj(source_document(args.input), args.input)
-    requested = [name for name, flag in [("serre", args.serre), ("hodge", args.hodge), ("gorenstein", args.gorenstein)] if flag]
-    if not requested:
-        requested = ["serre", "hodge", "gorenstein"]
     symmetries = check_symmetries(assemble_diamond(p))
     results = {
         "serre": symmetries.serre,
         "hodge": symmetries.hodge,
         "gorenstein": is_gorenstein(p),
     }
-    all_ok = True
+    # Each name is also the flag that requests it; no flag requests all.
+    requested = [name for name in results if getattr(args, name)] or list(results)
     for name in requested:
-        ok = results[name]
-        all_ok &= ok
-        print(f"{name}: {'PASS' if ok else 'FAIL'}")
-    return 0 if all_ok else 1
+        print(f"{name}: {'PASS' if results[name] else 'FAIL'}")
+    return 0 if all(results[name] for name in requested) else 1
 
 
 def cmd_partners(args) -> int:
@@ -206,7 +200,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     d = sub.add_parser("diamond", help="assemble and print an orbifold Hodge diamond")
     d.add_argument("input", help="orbifold file path or catalog name")
-    d.add_argument("--format", choices=["table", "json", "csv", "tex"], default="table")
     d.set_defaults(func=cmd_diamond)
 
     c = sub.add_parser("check", help="check symmetries and Gorenstein integrality")
@@ -228,8 +221,10 @@ def _build_parser() -> argparse.ArgumentParser:
     r.add_argument("--dim", type=int, required=True)
     r.add_argument("--columns", required=True, help='e.g. "3:1,2:0,1:101,0:4"')
     r.add_argument("--h01", type=int, default=None, help="h^{0,1}; required for --dim 3")
-    r.add_argument("--format", choices=["table", "json", "csv", "tex"], default="table")
     r.set_defaults(func=cmd_reconstruct)
+
+    for diamond_output in (d, r):
+        diamond_output.add_argument("--format", choices=list(RENDERERS), default=next(iter(RENDERERS)))
 
     cat = sub.add_parser("catalog", help="list built-in and user catalog entries")
     cat.add_argument("--format", choices=["text", "json"], default="text")

@@ -11,23 +11,22 @@ package.
 
 Besides the diamond itself the module provides its two classical
 symmetries (Serre duality and conjugation/Hodge symmetry), the diagonal
-column sums that compute Hochschild homology dimensions, and the stringy
-E-polynomial of an orbifold presentation (its diamond signed by (-1)^{p-q}).
+column sums that compute Hochschild homology dimensions, and the type of
+the stringy E-polynomial.  It knows nothing of sectors: `inertia` sums
+them into diamonds.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Iterable, Mapping, Tuple, Union
+from typing import Iterable, Mapping, Tuple, Union
 
-from .errors import OutOfRangeError, ValidationError
-
-if TYPE_CHECKING:
-    from .inertia import OrbifoldPresentation
+from .errors import ValidationError
 
 #: Exact rational bidegree coordinate.
 Grade = Fraction
@@ -58,9 +57,10 @@ def as_grade(value: GradeLike) -> Grade:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, str) and (match := _GRADE_TEXT.fullmatch(value)):
-        num, den = int(match[1]), int(match[2] or 1)
-        if den > 0 and math.gcd(num, den) == 1:
-            return Fraction(num, den)
+        with suppress(ValueError):  # digits past Python's int-to-string limit
+            num, den = int(match[1]), int(match[2] or 1)
+            if den > 0 and math.gcd(num, den) == 1:
+                return Fraction(num, den)
     raise ValidationError(f"not an exact rational grade: {value!r} (use int, Fraction or 'a/b' in lowest terms)")
 
 
@@ -249,34 +249,6 @@ class StringyPolynomial(_SparseMap):
         return self._map.get((as_grade(p), as_grade(q)), 0)
 
 
-def shifted_sum(presentation: "OrbifoldPresentation") -> tuple[int, list[tuple[GradeKey, int]]]:
-    """Sum every sector's coarse entries, age-shifted, on the lattice (1/level)Z.
-
-    Returns the level (lcm of the sector orders) and the nonzero items,
-    sorted by key, of (p' + a, q' + a) -> sum of h^{p',q'} times the count.
-    A grade x is summed as the integer x*level, and each distinct numerator
-    becomes a `Fraction` once at the end.  Raises OutOfRangeError if a
-    shifted grade leaves [0, n].
-    """
-    n = presentation.dim_n
-    level = math.lcm(*(c.order_l for c, _ in presentation.sectors))
-    top = n * level
-    acc: dict[tuple[int, int], int] = {}
-    for c, count in presentation.sectors:
-        shift = sum(c.exponents) * (level // c.order_l)
-        for (p, q), h in c.coarse_diamond.items():
-            pp, qq = p.numerator, q.numerator
-            kp, kq = pp * level + shift, qq * level + shift
-            if not (0 <= kp <= top and 0 <= kq <= top):
-                raise OutOfRangeError(
-                    f"sector {c.label!r} shifts ({pp},{qq}) to "
-                    f"{_format_key((Fraction(kp, level), Fraction(kq, level)))} outside [0, {n}]"
-                )
-            acc[(kp, kq)] = acc.get((kp, kq), 0) + h * count
-    grade = {k: Fraction(k, level) for k in {k for key in acc for k in key}}
-    return level, [((grade[kp], grade[kq]), h) for (kp, kq), h in sorted(acc.items()) if h]
-
-
 @dataclass(frozen=True)
 class SymmetryReport:
     serre: bool
@@ -316,21 +288,3 @@ def columns(d: HodgeDiamond) -> ColumnVector:
         i = (p.numerator - q.numerator) // p.denominator
         cols[i] = cols.get(i, 0) + h
     return ColumnVector(d.dim_n, cols)
-
-
-def stringy_e(presentation: "OrbifoldPresentation") -> StringyPolynomial:
-    """Stringy E-polynomial of an orbifold presentation.
-
-    Each sector with age a and coarse-space Hodge numbers h^{p',q'}
-    contributes (-1)^{p'+q'} h^{p',q'} at (p'+a, q'+a), once per copy.
-    Since p - q = p' - q' has the parity of p' + q', that sign is (-1)^{p-q}
-    (an integer power even at fractional grades), so no two contributions
-    to one key cancel: the result is the `shifted_sum` diamond signed by
-    (-1)^{p-q}.  For Gorenstein quotient singularities the result agrees
-    with Batyrev's stringy invariant.
-    """
-    # p and q share their denominator because p - q is an integer.
-    return StringyPolynomial({
-        (p, q): -h if (p.numerator - q.numerator) // p.denominator % 2 else h
-        for (p, q), h in shifted_sum(presentation)[1]
-    })

@@ -25,7 +25,7 @@ class ScalarActionError(ValidationError):
 
 
 class GroupTooLargeError(ValidationError):
-    """Group order exceeds the enumeration limit."""
+    """A size exceeds the one enumeration budget: a group order, a torus's Hodge pairs, a dense grid's cells."""
 
 
 class DimensionTooSmallError(ValidationError):

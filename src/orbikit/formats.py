@@ -9,7 +9,7 @@ Two document kinds, both a single top-level JSON object:
                     "diamond": [{"p": 0, "q": 0, "h": 1}],
                     "count": 16, "label": "..."}, ...]}
 
-  or a generator request::
+  or a generator request, "params" holding the fields of its family's spec::
 
       {"family": "kummer", "params": {"torus_dim_n": 2}, "name": "..."}
       {"family": "projective_quotient",
@@ -24,23 +24,24 @@ decimals; `as_grade` is the one parser.  The optional sector field "count"
 is the sector's multiplicity: it is kept, not expanded, as the count of a
 (component, count) pair, and canonical output writes it back when it is
 above 1.  The parser is strict: unknown fields, duplicate keys, non-UTF-8
-input and overdeep nesting are errors.  Serialization is canonical
-(sectors sorted by order, exponents, label, never merged; entries sorted
-by p, q), so output re-parses and re-serializes to identical bytes.
+input, overdeep nesting and overlong integers are errors.  Serialization is
+canonical (sectors sorted by order, exponents, label, never merged; entries
+sorted by p, q), so output re-parses and re-serializes to identical bytes.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
-from typing import Any
+from typing import Any, get_args
 
-from .diamond import Grade, HodgeDiamond, as_grade, format_grade, is_int
+from .diamond import Grade, HodgeDiamond, _format_key, as_grade, format_grade, is_int
 from .errors import ParseError, ValidationError
 from .inertia import InertiaComponent, OrbifoldPresentation
-from .quotient import KummerSpec, ProjectiveQuotientSpec, build_kummer, build_projective_quotient
+from .quotient import GENERATORS
 
 
 def grade_to_json(g: Grade) -> int | str:
@@ -92,7 +93,7 @@ def _entries_from_json(raw: Any, where: str) -> dict[tuple[Fraction, Fraction], 
         h = _require_int(item["h"], spot)
         key = (p, q)
         if key in entries:
-            raise ParseError(f"{spot}: duplicate entry at ({format_grade(p)},{format_grade(q)})")
+            raise ParseError(f"{spot}: duplicate entry at {_format_key(key)}")
         entries[key] = h
     return entries
 
@@ -137,30 +138,28 @@ def presentation_from_obj(obj: Any) -> OrbifoldPresentation:
     return OrbifoldPresentation(dim, sectors, name=name)
 
 
+def _from_json_shape(value: Any, shape: Any, where: str) -> Any:
+    """`value` as a `quotient.GENERATORS` spec field of type `shape`: an int, or a tuple from a JSON list."""
+    if shape is int:
+        return _require_int(value, where)
+    item = get_args(shape)[0]
+    if not isinstance(value, list):
+        raise ParseError(f"{where}: expected a list of {'integers' if item is int else 'integer rows'}")
+    return tuple(_from_json_shape(v, item, where) for v in value)
+
+
 def _presentation_from_generator(obj: dict) -> OrbifoldPresentation:
     _require_keys(obj, {"family", "params"}, {"name"}, "generator file")
     family = _require_str(obj["family"], "family")
     params = obj["params"]
     name = _require_str(obj["name"], "name") if "name" in obj else None
-    if family == "kummer":
-        _require_keys(params, {"torus_dim_n"}, set(), "params")
-        spec = KummerSpec(_require_int(params["torus_dim_n"], "params.torus_dim_n"))
-        return build_kummer(spec, name=name)
-    if family == "projective_quotient":
-        _require_keys(params, {"proj_dim_n", "cyclic_orders", "weights"}, set(), "params")
-        orders = params["cyclic_orders"]
-        weights = params["weights"]
-        if not isinstance(orders, list):
-            raise ParseError("params.cyclic_orders: expected a list of integers")
-        if not isinstance(weights, list) or not all(isinstance(r, list) for r in weights):
-            raise ParseError("params.weights: expected a list of integer rows")
-        spec = ProjectiveQuotientSpec(
-            _require_int(params["proj_dim_n"], "params.proj_dim_n"),
-            tuple(_require_int(m, "params.cyclic_orders") for m in orders),
-            tuple(tuple(_require_int(w, "params.weights") for w in row) for row in weights),
-        )
-        return build_projective_quotient(spec, name=name)
-    raise ParseError(f"unknown generator family {family!r}")
+    if family not in GENERATORS:
+        raise ParseError(f"unknown generator family {family!r}")
+    spec_type, build = GENERATORS[family]
+    spec_fields = fields(spec_type)
+    _require_keys(params, {f.name for f in spec_fields}, set(), "params")
+    spec = spec_type(*(_from_json_shape(params[f.name], f.type, f"params.{f.name}") for f in spec_fields))
+    return build(spec, name=name)
 
 
 def presentation_to_obj(p: OrbifoldPresentation) -> dict:
@@ -220,10 +219,10 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
 
 
 def loads(text: str) -> Any:
-    """Parse JSON text strictly: duplicate keys and overdeep nesting are ParseErrors."""
+    """Parse JSON text strictly: duplicate keys, overdeep nesting and overlong integers are ParseErrors."""
     try:
         return json.loads(text, object_pairs_hook=_unique_keys)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
         raise ParseError(f"invalid JSON: {exc}") from exc
     except RecursionError:
         raise ParseError("invalid JSON: nested too deeply") from None

@@ -24,6 +24,7 @@ The orbifold Hodge numbers are assembled by shifting every coarse entry
 h^{p',q'}(Z) to (p' + age, q' + age) and summing over sectors; ages are
 integers for every sector exactly when the underlying quotient
 singularities are Gorenstein, and fractional bidegrees appear otherwise.
+The stringy E-polynomial is the same sum signed by (-1)^{p-q}.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .diamond import Grade, HodgeDiamond, check_dim, is_int, shifted_sum
-from .errors import PseudoReflectionError, ValidationError
+from .diamond import Grade, GradeKey, HodgeDiamond, StringyPolynomial, _format_key, check_dim, is_int
+from .errors import OutOfRangeError, PseudoReflectionError, ValidationError
 
 
 @dataclass(frozen=True, slots=True)
@@ -172,6 +173,34 @@ def is_gorenstein(p: OrbifoldPresentation) -> bool:
     return all(sum(c.exponents) % c.order_l == 0 for c, _ in p.sectors)
 
 
+def shifted_sum(presentation: OrbifoldPresentation) -> tuple[int, list[tuple[GradeKey, int]]]:
+    """Sum every sector's coarse entries, age-shifted, on the lattice (1/level)Z.
+
+    Returns the level (lcm of the sector orders) and the nonzero items,
+    sorted by key, of (p' + a, q' + a) -> sum of h^{p',q'} times the count.
+    A grade x is summed as the integer x*level, and each distinct numerator
+    becomes a `Fraction` once at the end.  Raises OutOfRangeError if a
+    shifted grade leaves [0, n].
+    """
+    n = presentation.dim_n
+    level = math.lcm(*(c.order_l for c, _ in presentation.sectors))
+    top = n * level
+    acc: dict[tuple[int, int], int] = {}
+    for c, count in presentation.sectors:
+        shift = sum(c.exponents) * (level // c.order_l)
+        for (p, q), h in c.coarse_diamond.items():
+            pp, qq = p.numerator, q.numerator
+            kp, kq = pp * level + shift, qq * level + shift
+            if not (0 <= kp <= top and 0 <= kq <= top):
+                raise OutOfRangeError(
+                    f"sector {c.label!r} shifts {_format_key((p, q))} to "
+                    f"{_format_key((Fraction(kp, level), Fraction(kq, level)))} outside [0, {n}]"
+                )
+            acc[(kp, kq)] = acc.get((kp, kq), 0) + h * count
+    grade = {k: Fraction(k, level) for k in {k for key in acc for k in key}}
+    return level, [((grade[kp], grade[kq]), h) for (kp, kq), h in sorted(acc.items()) if h]
+
+
 def assemble_diamond(p: OrbifoldPresentation) -> HodgeDiamond:
     """Orbifold Hodge diamond: coarse entries of all sectors, age-shifted.
 
@@ -200,3 +229,21 @@ def extract_h0q(p: OrbifoldPresentation, q: int) -> int:
     if not is_int(q) or not (0 <= q <= p.dim_n):
         raise ValidationError(f"q must be an integer in [0, {p.dim_n}], got {q!r}")
     return p.untwisted.coarse_diamond.entry(0, q)
+
+
+def stringy_e(presentation: OrbifoldPresentation) -> StringyPolynomial:
+    """Stringy E-polynomial of an orbifold presentation.
+
+    Each sector with age a and coarse-space Hodge numbers h^{p',q'}
+    contributes (-1)^{p'+q'} h^{p',q'} at (p'+a, q'+a), once per copy.
+    Since p - q = p' - q' has the parity of p' + q', that sign is (-1)^{p-q}
+    (an integer power even at fractional grades), so no two contributions
+    to one key cancel: the result is the `shifted_sum` diamond signed by
+    (-1)^{p-q}.  For Gorenstein quotient singularities the result agrees
+    with Batyrev's stringy invariant.
+    """
+    # p and q share their denominator because p - q is an integer.
+    return StringyPolynomial({
+        (p, q): -h if (p.numerator - q.numerator) // p.denominator % 2 else h
+        for (p, q), h in shifted_sum(presentation)[1]
+    })

@@ -23,10 +23,10 @@ from .diamond import (
     ColumnVector,
     HodgeDiamond,
     SymmetryReport,
+    _format_key,
     check_dim,
     check_symmetries,
     columns,
-    format_grade,
     is_int,
 )
 from .errors import (
@@ -277,8 +277,7 @@ def mckay_compare(orb: HodgeDiamond, resolution: HodgeDiamond) -> McKayReport:
     if not orb.is_integer_graded():
         fractional = next(k for k in orb.keys() if k[0].denominator != 1 or k[1].denominator != 1)
         raise NonGorensteinOrbifoldError(
-            "orbifold diamond has fractional grade "
-            f"({format_grade(fractional[0])},{format_grade(fractional[1])}); "
+            f"orbifold diamond has fractional grade {_format_key(fractional)}; "
             "the comparison needs Gorenstein singularities"
         )
     if not resolution.is_integer_graded():

@@ -17,8 +17,7 @@ Anything outside these two families (non-abelian groups, non-diagonal
 actions) must be entered as raw inertia data instead.
 """
 
-from __future__ import annotations
-
+# No `from __future__ import annotations`: `formats` reads the spec field types as "params" shapes.
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -33,9 +32,15 @@ from .errors import (
 )
 from .inertia import InertiaComponent, OrbifoldPresentation
 
-#: The one enumeration budget of every generator: the group order of a
-#: projective quotient, the (p, q) pairs of a Kummer torus diamond.
+#: The one enumeration budget: the group order of a projective quotient,
+#: the (p, q) pairs of a Kummer torus diamond, the cells of a dense grid.
 MAX_GROUP_ORDER = 10_000
+
+
+def check_budget(size: int, message: str) -> None:
+    """Raise GroupTooLargeError(message) when `size` exceeds `MAX_GROUP_ORDER`."""
+    if size > MAX_GROUP_ORDER:
+        raise GroupTooLargeError(message)
 
 
 @dataclass(frozen=True)
@@ -146,8 +151,7 @@ def build_projective_quotient(spec: ProjectiveQuotientSpec, name: str | None = N
     """
     n = spec.proj_dim_n
     order = spec.group_order
-    if order > MAX_GROUP_ORDER:
-        raise GroupTooLargeError(f"group order {order} exceeds the limit {MAX_GROUP_ORDER}")
+    check_budget(order, f"group order {order} exceeds the limit {MAX_GROUP_ORDER}")
     big = math.lcm(1, *spec.cyclic_orders)
     # Every fixed component is a P^k, k <= n: one shared diamond per k.
     coarse = [HodgeDiamond.projective_space(k) for k in range(n + 1)]
@@ -205,12 +209,17 @@ def build_kummer(spec: KummerSpec | int, name: str | None = None) -> OrbifoldPre
     if isinstance(spec, int):
         spec = KummerSpec(spec)
     n = spec.torus_dim_n
-    if (n + 1) ** 2 > MAX_GROUP_ORDER:
-        raise GroupTooLargeError(
-            f"torus dimension {n} has {(n + 1) ** 2} Hodge pairs, which exceeds the limit {MAX_GROUP_ORDER}"
-        )
+    pairs = (n + 1) ** 2
+    check_budget(pairs, f"torus dimension {n} has {pairs} Hodge pairs, which exceeds the limit {MAX_GROUP_ORDER}")
     components = [
         InertiaComponent(1, (0,) * n, torus_invariant_diamond(n), label="untwisted"),
         (InertiaComponent(2, (1,) * n, HodgeDiamond.point(), label="2-torsion point"), 4**n),
     ]
     return OrbifoldPresentation(n, components, name=name if name is not None else f"kummer{n}")
+
+
+#: Generator files' families: spec type (its fields are the "params") and builder.
+GENERATORS = {
+    "kummer": (KummerSpec, build_kummer),
+    "projective_quotient": (ProjectiveQuotientSpec, build_projective_quotient),
+}

@@ -9,9 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from orbikit import ParseError, build_kummer
+from orbikit import GroupTooLargeError, ParseError, assemble_diamond, build_kummer
 from orbikit.catalog import catalog_entries, load_catalog_presentation
-from orbikit.cli import main
+from orbikit.cli import main, render_diamond
 from orbikit.formats import diamond_from_obj, diamond_to_obj, dumps, loads
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -184,6 +184,13 @@ class TestExitCodes:
         "duplicate_keys": (b'{"name": "a", "name": "b", "dim": 2, "sectors": []}', "duplicate key 'name'"),
         "non_utf8": (b'{"name": "\xff\xfe", "dim": 2}', "not UTF-8"),
         "deep_nesting": (b"[" * 100_000 + b"]" * 100_000, "nested too deeply"),
+        # Past Python's int-to-string digit limit: in the JSON parser, and in a grade string.
+        "huge_integer": (b'{"name": "a", "dim": ' + b"9" * 5000 + b', "sectors": []}', "invalid JSON"),
+        "huge_grade": (
+            b'{"name": "a", "dim": 0, "sectors": [{"order": 1, "exponents": [], "diamond": [{"p": "'
+            + b"9" * 5000 + b'", "q": 0, "h": 1}]}]}',
+            "not an exact rational grade",
+        ),
     }
 
     @pytest.mark.parametrize("name", HOSTILE_JSON)
@@ -227,6 +234,67 @@ class TestExitCodes:
         payload = json.loads(out)
         assert payload["verdict"] == "Incompatible"
         assert {"constraint": "columns", "index": 0, "left": 22, "right": 21} in payload["failures"]
+
+
+def _kummer_file(**params):
+    return {"family": "kummer", "params": params}
+
+
+def _pquot_file(n=2, orders=(3,), weights=((0, 1, 2),)):
+    return {"family": "projective_quotient",
+            "params": {"proj_dim_n": n, "cyclic_orders": orders, "weights": weights}}
+
+
+GENERATOR_ERRORS = [
+    ("torus_dim_n_string", _kummer_file(torus_dim_n="2"), 2, "ParseError: params.torus_dim_n: "),
+    ("torus_dim_n_list", _kummer_file(torus_dim_n=[2]), 2, "ParseError: params.torus_dim_n: "),
+    ("torus_dim_n_bool", _kummer_file(torus_dim_n=True), 2, "ParseError: params.torus_dim_n: "),
+    ("params_missing_field", _kummer_file(), 2, "ParseError: params: missing field(s) ['torus_dim_n']"),
+    ("params_unknown_field", _kummer_file(torus_dim_n=2, x=1), 2, "ParseError: params: unknown field(s) ['x']"),
+    ("params_list", {"family": "kummer", "params": [2]}, 2, "ParseError: params: "),
+    ("cyclic_orders_int", _pquot_file(orders=3), 2, "ParseError: params.cyclic_orders: "),
+    ("cyclic_orders_float", _pquot_file(orders=[3.0]), 2, "ParseError: params.cyclic_orders: "),
+    ("weights_flat", _pquot_file(weights=[0, 1, 2]), 2, "ParseError: params.weights"),
+    ("weights_string_entry", _pquot_file(weights=[[0, "1", 2]]), 2, "ParseError: params.weights"),
+    ("weights_nested_entry", _pquot_file(weights=[[[0], 1, 2]]), 2, "ParseError: params.weights"),
+    ("params_absent", {"family": "kummer"}, 2, "ParseError: generator file: missing field(s) ['params']"),
+    ("family_unknown_before_params", {"family": "weighted", "params": [2]}, 2, "ParseError: unknown generator family"),
+    ("family_int", {"family": 3, "params": {"torus_dim_n": 2}}, 2, "ParseError: family: "),
+    ("family_unknown", {"family": "weighted", "params": {}}, 2, "ParseError: unknown generator family 'weighted'"),
+    ("name_int", {**_kummer_file(torus_dim_n=2), "name": 3}, 2, "ParseError: name: "),
+    ("torus_dim_n_one", _kummer_file(torus_dim_n=1), 3, "DimensionTooSmallError: "),
+    ("torus_dim_n_negative", _kummer_file(torus_dim_n=-1), 3, "ValidationError: torus dimension "),
+    ("weight_row_short", _pquot_file(weights=[[0, 1]]), 3, "ValidationError: weight row "),
+    ("weight_row_missing", _pquot_file(weights=[]), 3, "ValidationError: 1 generators but 0 weight rows"),
+    ("scalar_action", _pquot_file(weights=[[1, 1, 1]]), 3, "ScalarActionError: "),
+    ("order_over_budget", _pquot_file(orders=[10_001]), 3, "GroupTooLargeError: group order 10001 "),
+    ("proj_dim_n_zero", _pquot_file(n=0, weights=[[0]]), 3, "ValidationError: projective dimension "),
+]
+
+
+@pytest.mark.parametrize("doc,code,prefix", [c[1:] for c in GENERATOR_ERRORS], ids=[c[0] for c in GENERATOR_ERRORS])
+def test_malformed_generator_file(tmp_path, doc, code, prefix):
+    path = tmp_path / "gen.json"
+    path.write_text(json.dumps(doc))
+    got, out, err = run_cli("diamond", str(path))
+    assert (got, out) == (code, "")
+    assert err.count("\n") == 1 and err.startswith(f"error: {prefix}")
+
+
+class TestRenderers:
+    def test_unknown_format_is_a_key_error(self, k3_diamond):
+        with pytest.raises(KeyError):
+            render_diamond("k3", k3_diamond, "html")
+
+    def test_dense_grid_budget_boundary(self):
+        # Kummer n = 99 has the 101 grades 0..99 and 99/2 (10 201 cells); n = 98 has 99 (9 801 cells).
+        refused = assemble_diamond(build_kummer(99))
+        for fmt in ("table", "tex"):
+            with pytest.raises(GroupTooLargeError, match="a dense grid of 10201 cells"):
+                render_diamond("kummer99", refused, fmt)
+        assert render_diamond("kummer99", refused, "csv").count("\n") == len(refused.entries)
+        rendered = render_diamond("kummer98", assemble_diamond(build_kummer(98)), "table")
+        assert rendered.count("\n") == 1 + 99
 
 
 class TestJsonRoundTrip:
@@ -273,6 +341,19 @@ class TestInputs:
         assert time.perf_counter() - start < 1
         assert code == 3 and out == ""
         assert err.count("\n") == 1 and err.startswith("error: GroupTooLargeError: torus dimension 3000 ")
+
+    def test_dense_formats_refuse_a_grid_over_budget(self, tmp_path):
+        # P^3/(Z/9999) has 13 334 grades on each axis; JSON and CSV stay linear.
+        path = tmp_path / "p3.json"
+        path.write_text(json.dumps({"family": "projective_quotient", "params": {
+            "proj_dim_n": 3, "cyclic_orders": [9999], "weights": [[0, 1, 2, 3]]}}))
+        for fmt in ("table", "tex"):
+            start = time.perf_counter()
+            code, out, err = run_cli("diamond", str(path), "--format", fmt)
+            assert time.perf_counter() - start < 5
+            assert code == 3 and out == ""
+            assert err.count("\n") == 1 and err.startswith("error: GroupTooLargeError: a dense grid of 177795556 cells")
+            assert "--format json or csv" in err
 
     def test_user_catalog_dir(self, tmp_path, monkeypatch):
         entry = tmp_path / "myorb.json"
