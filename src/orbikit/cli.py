@@ -3,14 +3,15 @@
 Exit codes (the error types' `exit_code`) are stable: 0 success/compatible,
 1 a requested check failed or the inputs are incompatible/inconsistent, 2
 parse error (including unknown catalog entries and unreadable or non-file
-paths), 3 validation error, 4 dimension mismatch, 5 unsupported dimension
-range.
+paths) or standard output closed early, 3 validation error, 4 dimension
+mismatch, 5 unsupported dimension range.
 Machine output is exact: integers and "a/b" strings, never floats.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 
@@ -37,13 +38,15 @@ def _grid(d: HodgeDiamond, corner: str) -> list[list[str]]:
     Both axes hold [0, n] and every stored grade.  More than
     `MAX_GROUP_ORDER` cells raise GroupTooLargeError before any is built.
     """
-    axis = sorted({Fraction(i) for i in range(d.dim_n + 1)}.union(*d.keys()))
-    cells = len(axis) ** 2
+    unit, m = d.lattice()
+    fractional = {x for key in m for x in key if x % unit}
+    cells = (d.dim_n + 1 + len(fractional)) ** 2
     check_budget(cells, f"a dense grid of {cells} cells exceeds the limit {MAX_GROUP_ORDER}; use --format json or csv")
-    entries = d.entries
-    rows = [[corner] + [format_grade(p) for p in axis]]
-    for q in reversed(axis):
-        rows.append([format_grade(q)] + [str(entries.get((p, q), 0)) for p in axis])
+    axis = sorted(fractional.union(range(0, d.dim_n * unit + 1, unit)))
+    text = {x: format_grade(Fraction(x, unit)) for x in axis}
+    rows = [[corner] + [text[a] for a in axis]]
+    for c in reversed(axis):
+        rows.append([text[c]] + [str(m.get((a, c), 0)) for a in axis])
     return rows
 
 
@@ -55,10 +58,8 @@ def render_table(name: str, d: HodgeDiamond) -> str:
 
 
 def render_csv(d: HodgeDiamond) -> str:
-    lines = ["p,q,h"]
-    for (p, q), h in d.items():
-        lines.append(f"{format_grade(p)},{format_grade(q)},{h}")
-    return "\n".join(lines)
+    text = d.grades(format_grade)
+    return "\n".join(["p,q,h"] + [f"{text[a]},{text[c]},{h}" for (a, c), h in d.lattice()[1].items()])
 
 
 def render_tex(d: HodgeDiamond) -> str:
@@ -236,10 +237,20 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except OrbikitError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return exc.exit_code
+    except BrokenPipeError as exc:
+        # The reader left (e.g. `| head`).  Point stdout at devnull so that the
+        # interpreter's flush at exit finds nothing left to fail on.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: {type(exc).__name__}: standard output closed early", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

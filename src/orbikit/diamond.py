@@ -4,10 +4,10 @@ A diamond is a sparse map (p, q) -> h^{p,q} with positive integer values
 and exact rational bidegrees 0 <= p, q <= n.  Fractional bidegrees occur
 for orbifolds with non-Gorenstein quotient singularities, where twisted
 sectors shift cohomology by a fractional age; p - q nevertheless stays an
-integer because both coordinates shift by the same amount.  Assembly sums
-the shifted grades as integers on the lattice (1/level)Z and exposes them
-as exact `fractions.Fraction`s; no floating point appears anywhere in this
-package.
+integer because both coordinates shift by the same amount.  Grades are
+stored as integer pairs on the lattice (1/unit)Z, unit the lcm of their
+denominators, and exposed as exact `fractions.Fraction`s; no floating
+point appears anywhere in this package.
 
 Besides the diamond itself the module provides its two classical
 symmetries (Serre duality and conjugation/Hodge symmetry), the diagonal
@@ -23,6 +23,7 @@ import re
 from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from types import MappingProxyType
 from typing import Iterable, Mapping, Tuple, Union
 
@@ -79,19 +80,56 @@ def _format_key(key) -> str:
     return f"({format_grade(key[0])},{format_grade(key[1])})" if isinstance(key, tuple) else str(key)
 
 
+def _lattice_point(x: GradeLike, y: GradeLike) -> tuple[int, int, int]:
+    """(a, c, b) with (as_grade(x), as_grade(y)) = (a/b, c/b), b the lcm of the two denominators."""
+    p, q = as_grade(x), as_grade(y)
+    b = math.lcm(p.denominator, q.denominator)
+    return p.numerator * (b // p.denominator), q.numerator * (b // q.denominator), b
+
+
+def _check_entry(dim_n: int, x, y, h, unit: int | None = None) -> tuple[int, int, int]:
+    """The checks of one diamond entry h at (x, y), in order; returns its lattice point (a, c, b).
+
+    (x, y) are grade-likes, or with `unit` the lattice point (x/unit, y/unit).
+    h is a nonnegative int, 0 <= a, c <= dim_n * b, and b divides a - c
+    (p - q is an integer).
+    """
+    if not is_int(h) or h < 0:
+        p, q = (x, y) if unit is None else (Fraction(x, unit), Fraction(y, unit))
+        if not is_int(h):
+            raise ValidationError(f"dimension h^{{{p},{q}}} must be an integer, got {h!r}")
+        raise ValidationError(f"negative dimension h^{{{p},{q}}} = {h}")
+    a, c, b = _lattice_point(x, y) if unit is None else (x, y, unit)
+    if not (0 <= a <= dim_n * b and 0 <= c <= dim_n * b):
+        raise ValidationError(f"grade {_format_key((Fraction(a, b), Fraction(c, b)))} outside [0, {dim_n}]")
+    if (a - c) % b:
+        raise ValidationError(f"p - q must be an integer; got {_format_key((Fraction(a, b), Fraction(c, b)))}")
+    return a, c, b
+
+
+def _check_term(x, y, v, unit: int | None = None) -> tuple[int, int, int]:
+    """The check of one stringy term v at (x, y), as `_check_entry`: v is an int."""
+    if not is_int(v):
+        p, q = (x, y) if unit is None else (Fraction(x, unit), Fraction(y, unit))
+        raise ValidationError(f"coefficient at ({p},{q}) must be an integer, got {v!r}")
+    return _lattice_point(x, y) if unit is None else (x, y, unit)
+
+
 class _SparseMap:
     """Sorted sparse map without zero values, the core of the diamond-like types.
 
     Subclasses validate their entries and pass them to `_SparseMap.__init__`,
     which drops zeros and sorts.  Equality and hashing see the class, `dim_n`
-    (None for StringyPolynomial, which has no dimension) and the map;
-    nothing else.  Instances are immutable, so the hash is computed once.
+    (None for StringyPolynomial, which has no dimension), the map and its
+    key `_unit` (1 unless the keys are lattice points); nothing else.
+    Instances are immutable, so the hash is computed once.
     """
 
-    __slots__ = ("_dim_n", "_map", "_hash")
+    __slots__ = ("_dim_n", "_unit", "_map", "_hash")
 
-    def __init__(self, dim_n: int | None, cleaned: Mapping):
+    def __init__(self, dim_n: int | None, cleaned: Mapping, unit: int = 1):
         self._dim_n = dim_n
+        self._unit = unit
         self._map = {k: v for k, v in sorted(cleaned.items()) if v}
         self._hash = None
 
@@ -117,20 +155,90 @@ class _SparseMap:
     def __eq__(self, other) -> bool:
         if not isinstance(other, type(self)):
             return NotImplemented
-        return self._dim_n == other._dim_n and self._map == other._map
+        return self._dim_n == other._dim_n and self._unit == other._unit and self._map == other._map
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self._dim_n, frozenset(self._map.items())))
+            self._hash = hash((self._dim_n, self._unit, frozenset(self._map.items())))
         return self._hash
 
     def __repr__(self) -> str:
-        body = ", ".join(f"{_format_key(k)}: {v}" for k, v in self._map.items())
+        body = ", ".join(f"{_format_key(k)}: {v}" for k, v in self.items())
         dim = "" if self._dim_n is None else f"dim_n={self._dim_n}, "
         return f"{type(self).__name__}({dim}{{{body}}})"
 
 
-class HodgeDiamond(_SparseMap):
+class _GradedMap(_SparseMap):
+    """A sparse map keyed by bidegrees, stored as integer pairs on (1/unit)Z.
+
+    The key (a, c) stands for (a/unit, c/unit).  `unit` is canonical: the
+    lcm of the grade denominators (1 when there are none), so equal maps
+    have equal keys whatever unit they were built on.  Grades become
+    `Fraction`s only at the public edge (`items`, `keys`, `entries`,
+    `terms`), one per distinct numerator; `lattice` hands the integers to
+    the rest of the package.
+    """
+
+    __slots__ = ()
+
+    def _store(self, dim_n: int | None, pairs: Iterable, check, unit: int | None) -> None:
+        """Check each of `pairs` with `check`, then sum them on the lattice, drop zeros and reduce the unit."""
+        points = [(check(x, y, v, unit), v) for (x, y), v in pairs]
+        common = math.lcm(1, *{b for (_, _, b), _ in points})
+        acc: dict[tuple[int, int], int] = {}
+        for (a, c, b), v in points:
+            key = (a * (common // b), c * (common // b))
+            acc[key] = acc.get(key, 0) + v
+        acc = {k: v for k, v in acc.items() if v}
+        g = math.gcd(common, *(x for key in acc for x in key))
+        if g > 1:
+            common //= g
+            acc = {(a // g, c // g): v for (a, c), v in acc.items()}
+        super().__init__(dim_n, acc, common)
+
+    @classmethod
+    def _from_lattice(cls, unit: int, *args):
+        """`cls(*args)` with its entries given as ((a, c), value) at (a/unit, c/unit).
+
+        The way in for `inertia.shifted_sum`: the same checks run on the
+        integers, and no grade becomes a `Fraction`.
+        """
+        made = cls.__new__(cls)
+        made._fill(*args, unit=unit)
+        return made
+
+    def lattice(self) -> tuple[int, Mapping[tuple[int, int], int]]:
+        """(unit, read-only map (a, c) -> value): the stored keys as integers on (1/unit)Z."""
+        return self._unit, MappingProxyType(self._map)
+
+    def grades(self, convert=lambda g: g) -> dict[int, object]:
+        """`convert(Fraction(x, unit))` for each distinct coordinate x of a stored key, made once each."""
+        unit = self._unit
+        return {x: convert(Fraction(x, unit)) for x in {x for key in self._map for x in key}}
+
+    def items(self) -> list[tuple[GradeKey, int]]:
+        """The stored (key, value) pairs in key order, each grade an exact Fraction."""
+        g = self.grades()
+        return [((g[a], g[c]), v) for (a, c), v in self._map.items()]
+
+    def keys(self) -> list[GradeKey]:
+        return [key for key, _ in self.items()]
+
+    @property
+    def _view(self) -> Mapping:
+        """Read-only Fraction-keyed map, built on access."""
+        return MappingProxyType(dict(self.items()))
+
+    def _get(self, p: GradeLike, q: GradeLike) -> int:
+        """The value at (p, q); 0 for any key not stored, on the lattice or off it."""
+        a, c, b = _lattice_point(p, q)
+        if self._unit % b:
+            return 0
+        scale = self._unit // b
+        return self._map.get((a * scale, c * scale), 0)
+
+
+class HodgeDiamond(_GradedMap):
     """Sparse map of Hodge numbers of one space, possibly rationally graded.
 
     Invariants enforced at construction:
@@ -139,11 +247,13 @@ class HodgeDiamond(_SparseMap):
     * every key satisfies 0 <= p, q <= dim_n;
     * p - q is an integer for every key.
 
-    `level` records the least common multiple of the automorphism orders
-    the diamond was assembled from (1 for a plain variety); every grade
-    denominator divides it.  Two diamonds are equal when their dimensions
-    and normalized entry maps agree; `level` is derived data and ignored.
-    Instances are immutable.
+    Grades are stored as integer pairs on (1/unit)Z, unit the lcm of their
+    denominators, and exposed as exact `Fraction`s.  `level` records the
+    least common multiple of the automorphism orders the diamond was
+    assembled from (1 for a plain variety); every grade denominator divides
+    it.  Two diamonds are equal when their dimensions and normalized entry
+    maps agree; `level` is derived data and ignored.  Instances are
+    immutable.
     """
 
     __slots__ = ("_level",)
@@ -154,41 +264,26 @@ class HodgeDiamond(_SparseMap):
         entries: Mapping[Tuple[GradeLike, GradeLike], int] | Iterable[tuple[Tuple[GradeLike, GradeLike], int]],
         level: int = 1,
     ):
+        self._fill(dim_n, entries, level)
+
+    def _fill(self, dim_n, entries, level, unit=None) -> None:
         check_dim(dim_n)
         if not is_int(level) or level < 1:
             raise ValidationError(f"level must be a positive integer, got {level!r}")
         items = entries.items() if isinstance(entries, Mapping) else entries
-        cleaned: dict[GradeKey, int] = {}
-        for (p_raw, q_raw), h in items:
-            if not is_int(h):
-                raise ValidationError(f"dimension h^{{{p_raw},{q_raw}}} must be an integer, got {h!r}")
-            if h < 0:
-                raise ValidationError(f"negative dimension h^{{{p_raw},{q_raw}}} = {h}")
-            p, q = as_grade(p_raw), as_grade(q_raw)
-            # Integer forms of 0 <= p, q <= n and of p - q being an integer,
-            # which for grades in lowest terms means one shared denominator b.
-            b = p.denominator
-            if not (0 <= p.numerator <= dim_n * b and 0 <= q.numerator <= dim_n * q.denominator):
-                raise ValidationError(f"grade {_format_key((p, q))} outside [0, {dim_n}]")
-            if q.denominator != b or (p.numerator - q.numerator) % b:
-                raise ValidationError(f"p - q must be an integer; got {_format_key((p, q))}")
-            cleaned[(p, q)] = cleaned.get((p, q), 0) + h
-        super().__init__(dim_n, cleaned)
-        self._level = math.lcm(level, *{p.denominator for p, _ in self._map})
+        self._store(dim_n, items, partial(_check_entry, dim_n), unit)
+        self._level = math.lcm(level, self._unit)
 
     @property
     def level(self) -> int:
         return self._level
 
-    entries = _SparseMap._view
-
-    def entry(self, p: GradeLike, q: GradeLike) -> int:
-        """h^{p,q}, with 0 for any absent key."""
-        return self._map.get((as_grade(p), as_grade(q)), 0)
+    entries = _GradedMap._view
+    entry = _GradedMap._get
 
     def is_integer_graded(self) -> bool:
         """True when every stored bidegree is integral."""
-        return all(p.denominator == 1 and q.denominator == 1 for p, q in self._map)
+        return self._unit == 1
 
     @classmethod
     def projective_space(cls, n: int) -> "HodgeDiamond":
@@ -227,26 +322,23 @@ class ColumnVector(_SparseMap):
         return self._map.get(i, 0)
 
 
-class StringyPolynomial(_SparseMap):
+class StringyPolynomial(_GradedMap):
     """Signed generating polynomial sum of +-h^{p,q} u^p v^q with rational exponents.
 
-    Coefficients may be negative; zero coefficients are not stored.
+    Coefficients may be negative; terms at one grade are summed and zero
+    coefficients are not stored.
     """
 
     __slots__ = ()
 
     def __init__(self, terms: Mapping[Tuple[GradeLike, GradeLike], int]):
-        cleaned: dict[GradeKey, int] = {}
-        for (p_raw, q_raw), c in terms.items():
-            if not is_int(c):
-                raise ValidationError(f"coefficient at ({p_raw},{q_raw}) must be an integer, got {c!r}")
-            cleaned[(as_grade(p_raw), as_grade(q_raw))] = c
-        super().__init__(None, cleaned)
+        self._fill(terms)
 
-    terms = _SparseMap._view
+    def _fill(self, terms, unit=None) -> None:
+        self._store(None, terms.items(), _check_term, unit)
 
-    def coefficient(self, p: GradeLike, q: GradeLike) -> int:
-        return self._map.get((as_grade(p), as_grade(q)), 0)
+    terms = _GradedMap._view
+    coefficient = _GradedMap._get
 
 
 @dataclass(frozen=True)
@@ -269,12 +361,11 @@ def check_symmetries(d: HodgeDiamond) -> SymmetryReport:
     enforced so that raw, possibly non-Kaehler-style data can still be
     inspected.
     """
-    n = d.dim_n
-    # p and q of a key share their denominator b because p - q is an integer.
-    ints = {(p.numerator, q.numerator, p.denominator): h for (p, q), h in d.items()}
+    unit, m = d.lattice()
+    top = d.dim_n * unit
     return SymmetryReport(
-        serre=all(ints.get((n * b - a, n * b - c, b)) == h for (a, c, b), h in ints.items()),
-        hodge=all(ints.get((c, a, b)) == h for (a, c, b), h in ints.items()),
+        serre=all(m.get((top - a, top - c)) == h for (a, c), h in m.items()),
+        hodge=all(m.get((c, a)) == h for (a, c), h in m.items()),
     )
 
 
@@ -283,8 +374,9 @@ def columns(d: HodgeDiamond) -> ColumnVector:
 
     Well-defined because p - q is an integer for every stored key.
     """
+    unit, m = d.lattice()
     cols: dict[int, int] = {}
-    for (p, q), h in d.items():
-        i = (p.numerator - q.numerator) // p.denominator
+    for (a, c), h in m.items():
+        i = (a - c) // unit
         cols[i] = cols.get(i, 0) + h
     return ColumnVector(d.dim_n, cols)

@@ -81,28 +81,28 @@ def _require_keys(obj: dict, required: set[str], optional: set[str], where: str)
         raise ParseError(f"{where}: unknown field(s) {sorted(unknown)}")
 
 
-def _entries_from_json(raw: Any, where: str) -> dict[tuple[Fraction, Fraction], int]:
+def _entries_from_json(raw: Any, where: str) -> list[tuple[tuple[Fraction, Fraction], int]]:
     if not isinstance(raw, list):
         raise ParseError(f"{where}: expected a list of {{p, q, h}} objects")
-    entries: dict[tuple[Fraction, Fraction], int] = {}
+    entries = []
+    seen: set[tuple[int, int, int, int]] = set()  # integer forms of the keys: no Fraction is hashed
     for k, item in enumerate(raw):
         spot = f"{where}[{k}]"
         _require_keys(item, {"p", "q", "h"}, set(), spot)
         p = grade_from_json(item["p"], spot)
         q = grade_from_json(item["q"], spot)
         h = _require_int(item["h"], spot)
-        key = (p, q)
-        if key in entries:
-            raise ParseError(f"{spot}: duplicate entry at {_format_key(key)}")
-        entries[key] = h
+        key = (p.numerator, p.denominator, q.numerator, q.denominator)
+        if key in seen:
+            raise ParseError(f"{spot}: duplicate entry at {_format_key((p, q))}")
+        seen.add(key)
+        entries.append(((p, q), h))
     return entries
 
 
 def _entries_to_json(d: HodgeDiamond) -> list[dict]:
-    return [
-        {"p": grade_to_json(p), "q": grade_to_json(q), "h": h}
-        for (p, q), h in d.items()
-    ]
+    grade = d.grades(grade_to_json)
+    return [{"p": grade[a], "q": grade[c], "h": h} for (a, c), h in d.lattice()[1].items()]
 
 
 def presentation_from_obj(obj: Any) -> OrbifoldPresentation:

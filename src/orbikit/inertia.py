@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .diamond import Grade, GradeKey, HodgeDiamond, StringyPolynomial, _format_key, check_dim, is_int
+from .diamond import Grade, HodgeDiamond, StringyPolynomial, _format_key, check_dim, is_int
 from .errors import OutOfRangeError, PseudoReflectionError, ValidationError
 
 
@@ -173,13 +173,13 @@ def is_gorenstein(p: OrbifoldPresentation) -> bool:
     return all(sum(c.exponents) % c.order_l == 0 for c, _ in p.sectors)
 
 
-def shifted_sum(presentation: OrbifoldPresentation) -> tuple[int, list[tuple[GradeKey, int]]]:
+def shifted_sum(presentation: OrbifoldPresentation) -> tuple[int, dict[tuple[int, int], int]]:
     """Sum every sector's coarse entries, age-shifted, on the lattice (1/level)Z.
 
-    Returns the level (lcm of the sector orders) and the nonzero items,
-    sorted by key, of (p' + a, q' + a) -> sum of h^{p',q'} times the count.
-    A grade x is summed as the integer x*level, and each distinct numerator
-    becomes a `Fraction` once at the end.  Raises OutOfRangeError if a
+    Returns the level (lcm of the sector orders) and the map
+    (a, c) -> sum of h^{p',q'} times the count, where (a/level, c/level) =
+    (p' + age, q' + age).  The coarse diamonds are integer graded, so their
+    lattice keys are the grades themselves.  Raises OutOfRangeError if a
     shifted grade leaves [0, n].
     """
     n = presentation.dim_n
@@ -188,17 +188,15 @@ def shifted_sum(presentation: OrbifoldPresentation) -> tuple[int, list[tuple[Gra
     acc: dict[tuple[int, int], int] = {}
     for c, count in presentation.sectors:
         shift = sum(c.exponents) * (level // c.order_l)
-        for (p, q), h in c.coarse_diamond.items():
-            pp, qq = p.numerator, q.numerator
-            kp, kq = pp * level + shift, qq * level + shift
+        for (p, q), h in c.coarse_diamond.lattice()[1].items():
+            kp, kq = p * level + shift, q * level + shift
             if not (0 <= kp <= top and 0 <= kq <= top):
                 raise OutOfRangeError(
-                    f"sector {c.label!r} shifts {_format_key((p, q))} to "
+                    f"sector {c.label!r} shifts ({p},{q}) to "
                     f"{_format_key((Fraction(kp, level), Fraction(kq, level)))} outside [0, {n}]"
                 )
             acc[(kp, kq)] = acc.get((kp, kq), 0) + h * count
-    grade = {k: Fraction(k, level) for k in {k for key in acc for k in key}}
-    return level, [((grade[kp], grade[kq]), h) for (kp, kq), h in sorted(acc.items()) if h]
+    return level, acc
 
 
 def assemble_diamond(p: OrbifoldPresentation) -> HodgeDiamond:
@@ -208,15 +206,15 @@ def assemble_diamond(p: OrbifoldPresentation) -> HodgeDiamond:
     by adding each coarse entry (p', q') times the sector's count at
     (p' + a, q' + a).  The level of the result is the lcm of the sector
     orders; the shifted grades are summed as integers on (1/level)Z
-    (`shifted_sum`) and exposed as exact Fractions.
+    (`shifted_sum`) and handed to the diamond as such.
 
     Raises OutOfRangeError if a shifted grade leaves [0, n].  Data passing
     component validation can never trigger this (the shift is strictly
     smaller than the codimension), so it signals inconsistent input, e.g.
     a sector swapped with its inverse by hand-edited exponents.
     """
-    level, entries = shifted_sum(p)
-    return HodgeDiamond(p.dim_n, entries, level=level)
+    level, acc = shifted_sum(p)
+    return HodgeDiamond._from_lattice(level, p.dim_n, acc, level)
 
 
 def extract_h0q(p: OrbifoldPresentation, q: int) -> int:
@@ -242,8 +240,7 @@ def stringy_e(presentation: OrbifoldPresentation) -> StringyPolynomial:
     (-1)^{p-q}.  For Gorenstein quotient singularities the result agrees
     with Batyrev's stringy invariant.
     """
-    # p and q share their denominator because p - q is an integer.
-    return StringyPolynomial({
-        (p, q): -h if (p.numerator - q.numerator) // p.denominator % 2 else h
-        for (p, q), h in shifted_sum(presentation)[1]
+    level, acc = shifted_sum(presentation)
+    return StringyPolynomial._from_lattice(level, {
+        (a, c): -h if (a - c) // level % 2 else h for (a, c), h in acc.items()
     })

@@ -15,8 +15,9 @@ dimension three the conditions determine the whole diamond, which
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
+from fractions import Fraction
 from typing import Mapping, Optional
 
 from .diamond import (
@@ -116,12 +117,14 @@ def check_partners(a: HodgeDiamond, b: HodgeDiamond, strict_dim3: bool = False) 
     for constraint, key in (("h01", (0, 1)), ("hn0", (n, 0)), ("hn10", (n - 1, 0))):
         failures += _differences(constraint, *entries_at([key]))
     # Stored keys only, as in `_differences`: a loop over range(n) would not end for a huge n.
-    edge = {(0, q.numerator) for d in (a, b) for p, q in d.keys() if p == 0 and 2 <= q < n}
+    # On the p = 0 edge q is an integer, since p - q is.
+    edge = {(0, c // unit) for unit, m in (a.lattice(), b.lattice())
+            for x, c in m if x == 0 and 2 * unit <= c < n * unit}
     informational = tuple(_differences("h0q", *entries_at(edge)))
 
     strict_equal: Optional[bool] = None
     if strict_dim3 and n <= 3 and a.is_integer_graded() and b.is_integer_graded():
-        diffs = _differences("entry", a.entries, b.entries)
+        diffs = _entry_differences(a, b)
         failures.extend(diffs)
         strict_equal = not diffs
 
@@ -136,6 +139,12 @@ def _differences(constraint: str, a: Mapping, b: Mapping) -> list[Mismatch]:
         if left != right:
             diffs.append(Mismatch(constraint, key, left, right))
     return diffs
+
+
+def _entry_differences(a: HodgeDiamond, b: HodgeDiamond) -> list[Mismatch]:
+    """`_differences` of the entries of two integer-graded diamonds, read on their lattices (unit 1)."""
+    return [replace(m, index=(Fraction(m.index[0]), Fraction(m.index[1])))
+            for m in _differences("entry", a.lattice()[1], b.lattice()[1])]
 
 
 def extract_hn0(c: ColumnVector) -> int:
@@ -275,11 +284,13 @@ def mckay_compare(orb: HodgeDiamond, resolution: HodgeDiamond) -> McKayReport:
     if orb.dim_n != resolution.dim_n:
         raise DimensionMismatchError(f"dimensions differ: {orb.dim_n} vs {resolution.dim_n}")
     if not orb.is_integer_graded():
-        fractional = next(k for k in orb.keys() if k[0].denominator != 1 or k[1].denominator != 1)
+        # p - q is an integer, so a key's p is fractional exactly when its q is.
+        unit, m = orb.lattice()
+        a, c = next(key for key in m if key[0] % unit)
         raise NonGorensteinOrbifoldError(
-            f"orbifold diamond has fractional grade {_format_key(fractional)}; "
+            f"orbifold diamond has fractional grade {_format_key((Fraction(a, unit), Fraction(c, unit)))}; "
             "the comparison needs Gorenstein singularities"
         )
     if not resolution.is_integer_graded():
         raise ValidationError("a resolution is smooth; its diamond must be integer graded")
-    return McKayReport(tuple(_differences("entry", orb.entries, resolution.entries)))
+    return McKayReport(tuple(_entry_differences(orb, resolution)))

@@ -21,6 +21,7 @@ actions) must be entered as raw inertia data instead.
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 
 from .diamond import HodgeDiamond, is_int
@@ -153,13 +154,13 @@ def build_projective_quotient(spec: ProjectiveQuotientSpec, name: str | None = N
     order = spec.group_order
     check_budget(order, f"group order {order} exceeds the limit {MAX_GROUP_ORDER}")
     big = math.lcm(1, *spec.cyclic_orders)
-    # Every fixed component is a P^k, k <= n: one shared diamond per k.
-    coarse = [HodgeDiamond.projective_space(k) for k in range(n + 1)]
+    # Every fixed component is a P^k, k <= n: one shared diamond per k, built on first use.
+    projective = cache(HodgeDiamond.projective_space)
 
     components: list[InertiaComponent] = []
     for t in product(*(range(m) for m in spec.cyclic_orders)):
         if not any(t):
-            components.append(InertiaComponent(1, (0,) * n, coarse[n], label="untwisted"))
+            components.append(InertiaComponent(1, (0,) * n, projective(n), label="untwisted"))
             continue
         eig = _eigenvalue_exponents(spec, t, big)
         multiplicity = Counter(eig)
@@ -185,7 +186,7 @@ def build_projective_quotient(spec: ProjectiveQuotientSpec, name: str | None = N
                 InertiaComponent(
                     l,
                     exponents,
-                    coarse[d - 1],
+                    projective(d - 1),
                     label=f"g=({t_label}) eig={chi}",
                 )
             )

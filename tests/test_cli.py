@@ -355,6 +355,15 @@ class TestInputs:
             assert err.count("\n") == 1 and err.startswith("error: GroupTooLargeError: a dense grid of 177795556 cells")
             assert "--format json or csv" in err
 
+    def test_trivial_action_on_a_huge_projective_space_builds_one_diamond(self, tmp_path):
+        # Only P^20000 itself is a fixed component; no P^k below it is built.
+        path = tmp_path / "p20000.json"
+        path.write_text(json.dumps(_pquot_file(n=20_000, orders=[], weights=[])))
+        code, out, err = run_cli("diamond", str(path), "--format", "csv")
+        assert code == 0 and err == "" and len(out.splitlines()) == 20_002
+        code, out, err = run_cli("diamond", str(path))
+        assert code == 3 and out == "" and err.startswith("error: GroupTooLargeError: a dense grid of ")
+
     def test_user_catalog_dir(self, tmp_path, monkeypatch):
         entry = tmp_path / "myorb.json"
         entry.write_text(json.dumps({"family": "kummer", "params": {"torus_dim_n": 2}, "name": "myorb"}))
@@ -435,3 +444,42 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "gorenstein: PASS\n"
+
+
+class _ClosedStdout(io.TextIOBase):
+    """A standard output whose reader has gone: every write raises BrokenPipeError."""
+
+    def __init__(self, fd):
+        self._fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self._fd
+
+
+class TestClosedStdout:
+    def test_broken_pipe_is_one_line_and_exit_two(self, tmp_path, monkeypatch):
+        with open(tmp_path / "out", "wb") as target:
+            monkeypatch.setattr(sys, "stdout", _ClosedStdout(target.fileno()))
+            err = io.StringIO()
+            with redirect_stderr(err):
+                code = main(["diamond", "kummer2"])
+        assert code == 2 and err.getvalue() == "error: BrokenPipeError: standard output closed early\n"
+
+    def test_pipe_closed_after_the_first_line(self, tmp_path):
+        # About 220 KB of JSON, more than a pipe holds, so the writer must meet the closed end.
+        path = tmp_path / "gen2003.json"
+        path.write_text(json.dumps(_pquot_file(orders=[2003], weights=[[0, 1, 5]])))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "orbikit", "diamond", str(path), "--format", "json"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 2
+        assert err.splitlines() == ["error: BrokenPipeError: standard output closed early"]

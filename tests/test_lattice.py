@@ -1,0 +1,221 @@
+"""Diamonds stored on the lattice (1/unit)Z: pinned messages, a plain-Fraction
+reference, and a guard that the pipeline hashes no Fraction."""
+
+import json
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from orbikit import (
+    HodgeDiamond,
+    NonGorensteinOrbifoldError,
+    ProjectiveQuotientSpec,
+    StringyPolynomial,
+    ValidationError,
+    assemble_diamond,
+    build_kummer,
+    build_projective_quotient,
+    check_partners,
+    check_symmetries,
+    columns,
+    format_grade,
+    mckay_compare,
+    stringy_e,
+)
+from orbikit.cli import render_diamond
+from orbikit.formats import dumps, grade_to_json, loads, presentation_from_obj, presentation_to_obj
+
+F = Fraction
+
+GRADE_ERROR = "not an exact rational grade: {} (use int, Fraction or 'a/b' in lowest terms)"
+
+# (constructor call, exact ValidationError message); the first failing check wins.
+INVALID = [
+    (lambda: HodgeDiamond(2, {(0, 0): True}), "dimension h^{0,0} must be an integer, got True"),
+    (lambda: HodgeDiamond(2, {(1, 1): -3}), "negative dimension h^{1,1} = -3"),
+    (lambda: HodgeDiamond(2, {(0, 0): 1.0}), "dimension h^{0,0} must be an integer, got 1.0"),
+    (lambda: HodgeDiamond(2, {("1/2", "1/2"): 1.5}), "dimension h^{1/2,1/2} must be an integer, got 1.5"),
+    (lambda: HodgeDiamond(1, {(2, 2): 1}), "grade (2,2) outside [0, 1]"),
+    (lambda: HodgeDiamond(1, {(F(-1, 2), F(-1, 2)): 1}), "grade (-1/2,-1/2) outside [0, 1]"),
+    (lambda: HodgeDiamond(1, {("3/2", "1/2"): 1}), "grade (3/2,1/2) outside [0, 1]"),
+    (lambda: HodgeDiamond(2, {(F(1, 2), 1): 1}), "p - q must be an integer; got (1/2,1)"),
+    (lambda: HodgeDiamond(2, {("1/2", "1/3"): 1}), "p - q must be an integer; got (1/2,1/3)"),
+    (lambda: HodgeDiamond(2, {(0, 0): 1}, level=0), "level must be a positive integer, got 0"),
+    (lambda: HodgeDiamond(2, {(0, 0): 1}, level=True), "level must be a positive integer, got True"),
+    (lambda: HodgeDiamond(2, {(0, 0): 1}, level=F(1)), "level must be a positive integer, got Fraction(1, 1)"),
+    (lambda: HodgeDiamond(-1, {}), "dimension must be a nonnegative integer, got -1"),
+    (lambda: HodgeDiamond(2, {("0.5", "0.5"): 1}), GRADE_ERROR.format("'0.5'")),
+    (lambda: HodgeDiamond(2, {("2/4", "1/2"): 1}), GRADE_ERROR.format("'2/4'")),
+    (lambda: HodgeDiamond(2, {(0, 0.5): 1}), GRADE_ERROR.format("0.5")),
+    # The first bad entry among several, and the order of the checks within one entry.
+    (lambda: HodgeDiamond(2, [((0, 0), 1), ((1, 1), -1), (("x", "x"), 1)]), "negative dimension h^{1,1} = -1"),
+    (lambda: HodgeDiamond(2, [((0, 0), 1), (("x", "x"), 1), ((1, 1), -1)]), GRADE_ERROR.format("'x'")),
+    (lambda: HodgeDiamond(2, [((0, 0), 1), ((3, 3), 1), ((F(1, 2), 0), 1)]), "grade (3,3) outside [0, 2]"),
+    (lambda: HodgeDiamond(2, [((0, 0), 1), ((F(1, 2), 0), 1), ((3, 3), 1)]), "p - q must be an integer; got (1/2,0)"),
+    (lambda: HodgeDiamond(2, [(("x", "x"), -1)]), "negative dimension h^{x,x} = -1"),
+    (lambda: HodgeDiamond(2, [(("x", "x"), 1.5)]), "dimension h^{x,x} must be an integer, got 1.5"),
+    (lambda: StringyPolynomial({(0, 0): 0.5}), "coefficient at (0,0) must be an integer, got 0.5"),
+    (lambda: StringyPolynomial({(0, 0): False}), "coefficient at (0,0) must be an integer, got False"),
+    (lambda: StringyPolynomial({("1/2", "y"): 1}), GRADE_ERROR.format("'y'")),
+    (lambda: StringyPolynomial({("1/2", "y"): 1.5}), "coefficient at (1/2,y) must be an integer, got 1.5"),
+    (lambda: StringyPolynomial({(0, 0): 1, ("1/3", "1/3"): 2, (1, 2): "3"}), "coefficient at (1,2) must be an integer, got '3'"),
+]
+
+
+@pytest.mark.parametrize("build, message", INVALID)
+def test_invalid_input_message_is_pinned(build, message):
+    with pytest.raises(ValidationError) as info:
+        build()
+    assert type(info.value) is ValidationError and str(info.value) == message
+
+
+# -- a plain-Fraction reference --------------------------------------------
+
+def spellings(g: Fraction) -> st.SearchStrategy:
+    """The ways a caller may write the grade g."""
+    forms = [g, format_grade(g)] + ([g.numerator] if g.denominator == 1 else [])
+    return st.sampled_from(forms)
+
+
+@st.composite
+def raw_diamonds(draw):
+    """(n, entry list with duplicates and zeros, level): valid constructor input."""
+    n = draw(st.integers(0, 3))
+    pool = []
+    for _ in range(draw(st.integers(0, 6))):
+        den = draw(st.integers(1, 12))
+        p = F(draw(st.integers(0, n * den)), den)
+        q = p - draw(st.integers(math.ceil(p - n), math.floor(p)))
+        pool.append((p, q))
+    entries = []
+    if pool:
+        for _ in range(draw(st.integers(0, 10))):
+            p, q = draw(st.sampled_from(pool))
+            entries.append(((draw(spellings(p)), draw(spellings(q))), draw(st.integers(0, 4))))
+    return n, entries, draw(st.integers(1, 12))
+
+
+def reference(entries) -> dict:
+    """The entries summed by Fraction key, zeros dropped, in key order."""
+    acc: dict = {}
+    for (p, q), h in entries:
+        key = (F(p), F(q))
+        acc[key] = acc.get(key, 0) + h
+    return {k: h for k, h in sorted(acc.items()) if h}
+
+
+def reference_csv(ref: dict) -> str:
+    return "\n".join(["p,q,h"] + [f"{format_grade(p)},{format_grade(q)},{h}" for (p, q), h in ref.items()])
+
+
+def reference_json(n: int, ref: dict) -> str:
+    entries = [{"p": grade_to_json(p), "q": grade_to_json(q), "h": h} for (p, q), h in ref.items()]
+    return json.dumps({"name": "x", "dim": n, "entries": entries}, indent=2, ensure_ascii=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw_diamonds(), st.integers(1, 12), st.integers(1, 12), st.integers(0, 40))
+def test_diamond_matches_plain_fraction_reference(raw, scale, den, num):
+    n, entries, level = raw
+    d = HodgeDiamond(n, entries, level=level)
+    ref = reference(entries)
+    assert list(d.items()) == list(ref.items())
+    assert list(d.keys()) == list(ref)
+    assert dict(d.entries) == ref
+    assert all(type(g) is F for key in d.keys() for g in key)
+    assert d.level == math.lcm(level, *(p.denominator for p, _ in ref))
+    assert d.is_integer_graded() == all(p.denominator == q.denominator == 1 for p, q in ref)
+    # entry() on and off the lattice: any (p, q) that is not stored reads 0.
+    for key in [*ref, (F(num, den), F(num, den)), (F(num, den), F(0))]:
+        assert d.entry(*key) == ref.get(key, 0)
+    # Equal diamonds built at other levels are equal and hash alike.
+    e = HodgeDiamond(n, list(ref.items()), level=level * scale)
+    assert e == d and hash(e) == hash(d) and e.level == math.lcm(level * scale, d.level)
+    cols: dict = {}
+    for (p, q), h in ref.items():
+        cols[int(p - q)] = cols.get(int(p - q), 0) + h
+    assert dict(columns(d).items()) == cols
+    sym = check_symmetries(d)
+    assert sym.serre == all(ref.get((n - p, n - q)) == h for (p, q), h in ref.items())
+    assert sym.hodge == all(ref.get((q, p)) == h for (p, q), h in ref.items())
+    assert render_diamond("x", d, "csv") == reference_csv(ref)
+    assert render_diamond("x", d, "json") == reference_json(n, ref)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(-30, 30), st.integers(-30, 30), st.integers(1, 12), st.integers(-3, 3)), max_size=8),
+    st.integers(1, 12),
+)
+def test_stringy_polynomial_matches_plain_fraction_reference(raw, den):
+    terms = {(F(a, b), F(c, b)): v for a, c, b, v in raw}
+    e = StringyPolynomial(terms)
+    ref = {k: v for k, v in sorted(terms.items()) if v}
+    assert list(e.items()) == list(ref.items()) and dict(e.terms) == ref
+    for key in [*ref, (F(1, den), F(1, den))]:
+        assert e.coefficient(*key) == ref.get(key, 0)
+    assert e == StringyPolynomial(dict(ref.items())) and hash(e) == hash(StringyPolynomial(ref))
+
+
+def test_terms_at_one_grade_are_summed_however_spelled():
+    e = StringyPolynomial({(1, 1): 2, ("1", "1"): 3, (F(1, 2), "1/2"): -1, ("1/2", F(1, 2)): 1})
+    assert list(e.items()) == [((F(1), F(1)), 5)]
+
+
+def test_lattice_is_canonical():
+    d = HodgeDiamond(2, {(F(1, 2), F(1, 2)): 1, (1, 1): 2}, level=12)
+    assert d.lattice() == (2, {(1, 1): 1, (2, 2): 2}) and d.level == 12
+    assert HodgeDiamond(2, {(1, 1): 1}, level=6).lattice() == (1, {(1, 1): 1})
+    assert HodgeDiamond(2, {}).lattice() == (1, {}) and HodgeDiamond(2, {}).is_integer_graded()
+
+
+# -- no Fraction hashing between assembly and rendering --------------------
+
+@pytest.fixture
+def fraction_hashes(monkeypatch):
+    """A list that records every `Fraction.__hash__` call while the test runs."""
+    calls = []
+    original = F.__hash__
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(F, "__hash__", counting)
+    return calls
+
+
+def test_pipeline_makes_no_fraction_hash(fraction_hashes):
+    p = build_projective_quotient(ProjectiveQuotientSpec(2, (101,), ((0, 1, 5),)))
+    fraction_hashes.clear()
+    d = assemble_diamond(p)
+    stringy_e(p)
+    columns(d)
+    check_symmetries(d)
+    check_partners(d, d)
+    render_diamond(p.name, d, "json")
+    render_diamond(p.name, d, "csv")
+    with pytest.raises(NonGorensteinOrbifoldError, match=r"fractional grade \(\d+/101,"):
+        mckay_compare(d, d)
+    assert not d.is_integer_graded() and len(fraction_hashes) == 0
+
+
+def test_integer_graded_comparisons_make_no_fraction_hash(fraction_hashes):
+    k3 = assemble_diamond(build_kummer(2))
+    other = HodgeDiamond(2, {(0, 0): 1, (1, 1): 3, (2, 2): 1})
+    fraction_hashes.clear()
+    report = mckay_compare(k3, other)
+    strict = check_partners(k3, other, strict_dim3=True)
+    assert len(fraction_hashes) == 0
+    assert report.differences[0].index == (F(0), F(2)) and type(report.differences[0].index[0]) is F
+    assert strict.strict_equal is False and strict.failures[-1] == report.differences[-1]
+
+
+def test_parsing_an_orbifold_file_makes_no_fraction_hash(fraction_hashes):
+    p = build_projective_quotient(ProjectiveQuotientSpec(3, (101,), ((0, 1, 2, 3),)))
+    text = dumps(presentation_to_obj(p))
+    fraction_hashes.clear()
+    parsed = presentation_from_obj(loads(text))
+    assert sum(count for _, count in parsed.sectors) == 401 and len(fraction_hashes) == 0
