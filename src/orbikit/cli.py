@@ -18,7 +18,7 @@ from fractions import Fraction
 from .catalog import catalog_entries, source_document
 from .diamond import ColumnVector, HodgeDiamond, check_symmetries, format_grade
 from .errors import OrbikitError, ParseError
-from .formats import diamond_to_obj, document_from_obj, dumps, grade_to_json
+from .formats import _diamond_json, document_from_obj, dumps, grade_to_json
 from .inertia import assemble_diamond, is_gorenstein
 from .invariants import Mismatch, PartnerReport, Verdict, check_partners, reconstruct_gorenstein
 from .quotient import MAX_GROUP_ORDER, check_budget
@@ -72,7 +72,7 @@ def render_tex(d: HodgeDiamond) -> str:
 #: Diamond output formats, the first the default: each renders (name, diamond) as text.
 RENDERERS = {
     "table": render_table,
-    "json": lambda name, d: dumps(diamond_to_obj(name, d)),
+    "json": _diamond_json,
     "csv": lambda name, d: render_csv(d),
     "tex": lambda name, d: render_tex(d),
 }

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,7 +43,7 @@ _GRADE_TEXT = re.compile(r"(-?\d+)(?:/(\d+))?", re.ASCII)
 
 def is_int(value) -> bool:
     """True for an int that is not a bool, the integer check of every validator."""
-    return isinstance(value, int) and not isinstance(value, bool)
+    return type(value) is int or (isinstance(value, int) and not isinstance(value, bool))
 
 
 def as_grade(value: GradeLike) -> Grade:
@@ -122,7 +123,9 @@ class _SparseMap:
     which drops zeros and sorts.  Equality and hashing see the class, `dim_n`
     (None for StringyPolynomial, which has no dimension), the map and its
     key `_unit` (1 unless the keys are lattice points); nothing else.
-    Instances are immutable, so the hash is computed once.
+    Instances are immutable, so the hash is computed once.  A value with
+    more decimal digits than `str` may print (`sys.get_int_max_str_digits`)
+    is a ValidationError, so every stored value can be output.
     """
 
     __slots__ = ("_dim_n", "_unit", "_map", "_hash")
@@ -132,6 +135,11 @@ class _SparseMap:
         self._unit = unit
         self._map = {k: v for k, v in sorted(cleaned.items()) if v}
         self._hash = None
+        top = max(map(abs, self._map.values()), default=0)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit, as before Python 3.10.7
+        # A value below 8^limit < 10^limit prints, so the exact test runs only near the limit.
+        if limit and top.bit_length() > 3 * limit and top >= 10**limit:
+            raise ValidationError(f"a value has more than {limit} decimal digits, past the int-to-string limit")
 
     @property
     def dim_n(self) -> int | None:

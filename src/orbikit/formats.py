@@ -210,6 +210,20 @@ def dumps(obj: dict) -> str:
     return json.dumps(obj, indent=2, ensure_ascii=True)
 
 
+def _diamond_json(name: str, d: HodgeDiamond) -> str:
+    """`dumps(diamond_to_obj(name, d))` byte for byte, written entry by entry.
+
+    `json` drops to its pure-Python encoder under `indent`, so the layout is written here.
+    """
+    grade = d.grades(lambda g: json.dumps(grade_to_json(g)))
+    entries = ",\n".join(
+        f'    {{\n      "p": {grade[a]},\n      "q": {grade[c]},\n      "h": {h}\n    }}'
+        for (a, c), h in d.lattice()[1].items()
+    )
+    body = f"[\n{entries}\n  ]" if entries else "[]"
+    return f'{{\n  "name": {json.dumps(name)},\n  "dim": {d.dim_n},\n  "entries": {body}\n}}'
+
+
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
     obj = dict(pairs)
     if len(obj) < len(pairs):

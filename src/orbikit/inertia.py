@@ -62,13 +62,13 @@ class InertiaComponent:
             raise ValidationError(f"sector order must be a positive integer, got {order_l!r}")
         exps = tuple(self.exponents)
         for a in exps:
-            if not is_int(a):
-                raise ValidationError(f"exponents must be integers, got {a!r}")
-            if not (0 <= a <= order_l - 1):
+            if not (is_int(a) and 0 <= a < order_l):
+                if not is_int(a):
+                    raise ValidationError(f"exponents must be integers, got {a!r}")
                 raise ValidationError(f"exponent {a} outside [0, {order_l - 1}] for order {order_l}")
         # At order 1 the range check leaves only zeros, which pass the checks below.
-        nonzero = [a for a in exps if a]
-        if len(nonzero) == 1:
+        n_fixed = exps.count(0)
+        if len(exps) - n_fixed == 1:
             named = f"sector {label!r}" if label else "sector"
             raise PseudoReflectionError(f"{named} with exponents {exps} fixes a codimension-one locus")
         if math.gcd(order_l, *exps) != 1:
@@ -79,7 +79,6 @@ class InertiaComponent:
             raise ValidationError("coarse_diamond must be a HodgeDiamond")
         if not coarse_diamond.is_integer_graded():
             raise ValidationError("coarse-space diamond must have integer grades only")
-        n_fixed = len(exps) - len(nonzero)
         if coarse_diamond.dim_n != n_fixed:
             raise ValidationError(
                 f"coarse space has dimension {coarse_diamond.dim_n} "
@@ -123,6 +122,7 @@ class OrbifoldPresentation:
         sectors = tuple(s if isinstance(s, tuple) and len(s) == 2 else (s, 1) for s in self.sectors)
         if not sectors:
             raise ValidationError("a presentation needs at least the untwisted sector")
+        untwisted = 0
         for c, count in sectors:
             if not isinstance(c, InertiaComponent):
                 raise ValidationError("components must be InertiaComponent instances")
@@ -132,7 +132,8 @@ class OrbifoldPresentation:
                 raise ValidationError(
                     f"component {c.label!r} has {len(c.exponents)} exponents, ambient dimension is {self.dim_n}"
                 )
-        untwisted = sum(count for c, count in sectors if c.is_untwisted)
+            if c.order_l == 1:
+                untwisted += count
         if untwisted != 1:
             raise ValidationError(f"exactly one untwisted sector required, found {untwisted}")
         object.__setattr__(self, "sectors", sectors)

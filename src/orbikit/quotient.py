@@ -19,10 +19,10 @@ actions) must be entered as raw inertia data instead.
 
 # No `from __future__ import annotations`: `formats` reads the spec field types as "params" shapes.
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
+from operator import mul
 
 from .diamond import HodgeDiamond, is_int
 from .errors import (
@@ -120,19 +120,6 @@ def torus_invariant_diamond(n: int) -> HodgeDiamond:
     )
 
 
-def _eigenvalue_exponents(spec: ProjectiveQuotientSpec, t: tuple[int, ...], big_order: int) -> list[int]:
-    # Exponent of the common root of unity zeta_M on each coordinate,
-    # for the element with generator powers t.
-    n = spec.proj_dim_n
-    out = []
-    for i in range(n + 1):
-        e = 0
-        for j, m in enumerate(spec.cyclic_orders):
-            e += (big_order // m) * t[j] * spec.weights[j][i]
-        out.append(e % big_order)
-    return out
-
-
 def build_projective_quotient(spec: ProjectiveQuotientSpec, name: str | None = None) -> OrbifoldPresentation:
     """Inertia presentation of P^n by a diagonal abelian action.
 
@@ -154,6 +141,8 @@ def build_projective_quotient(spec: ProjectiveQuotientSpec, name: str | None = N
     order = spec.group_order
     check_budget(order, f"group order {order} exceeds the limit {MAX_GROUP_ORDER}")
     big = math.lcm(1, *spec.cyclic_orders)
+    # Per coordinate i, the exponent of zeta_big by which each generator turns it.
+    steps = list(zip(*([(big // m) * w for w in row] for m, row in zip(spec.cyclic_orders, spec.weights))))
     # Every fixed component is a P^k, k <= n: one shared diamond per k, built on first use.
     projective = cache(HodgeDiamond.projective_space)
 
@@ -162,34 +151,19 @@ def build_projective_quotient(spec: ProjectiveQuotientSpec, name: str | None = N
         if not any(t):
             components.append(InertiaComponent(1, (0,) * n, projective(n), label="untwisted"))
             continue
-        eig = _eigenvalue_exponents(spec, t, big)
-        multiplicity = Counter(eig)
-        if len(multiplicity) == 1:
-            raise ScalarActionError(
-                f"element with generator powers {t} acts as a scalar on P^{n}"
-            )
-        # Projective order l: least d with all pairwise eigenvalue
-        # differences killed mod the big order.
-        g0 = math.gcd(big, *(((e - eig[0]) % big) for e in eig))
+        eig = [sum(map(mul, t, step)) % big for step in steps]
+        chis = sorted(set(eig))
+        if len(chis) == 1:
+            raise ScalarActionError(f"element with generator powers {t} acts as a scalar on P^{n}")
+        # Projective order l: least d with all pairwise eigenvalue differences killed mod the big order.
+        g0 = math.gcd(big, *(e - eig[0] for e in eig))
         l = big // g0
         t_label = ",".join(map(str, t))
-        for chi in sorted(multiplicity):
-            d = multiplicity[chi]
-            exponents = sorted(
-                ((chi2 - chi) % big) // g0
-                for chi2, d2 in multiplicity.items()
-                if chi2 != chi
-                for _ in range(d2)
-            )
-            exponents = [0] * (d - 1) + exponents
-            components.append(
-                InertiaComponent(
-                    l,
-                    exponents,
-                    projective(d - 1),
-                    label=f"g=({t_label}) eig={chi}",
-                )
-            )
+        for chi in chis:
+            # One zero per coordinate of V_chi, so dim V_chi zeros; the first is the component's own direction.
+            exponents = sorted([(e - chi) % big // g0 for e in eig])
+            label = f"g=({t_label}) eig={chi}"
+            components.append(InertiaComponent(l, exponents[1:], projective(exponents.count(0) - 1), label=label))
     if name is None:
         if spec.cyclic_orders:
             name = f"p{n}_" + "x".join(f"z{m}" for m in spec.cyclic_orders)

@@ -13,7 +13,7 @@ import random
 from fractions import Fraction
 from itertools import product
 
-from orbikit import HodgeDiamond, InertiaComponent, OrbifoldPresentation
+from orbikit import HodgeDiamond, InertiaComponent, OrbifoldPresentation, PseudoReflectionError, ScalarActionError
 
 # K3 surface (also: what the Kummer surface must assemble to).
 K3_DIAMOND = HodgeDiamond(2, {(0, 0): 1, (2, 0): 1, (0, 2): 1, (1, 1): 20, (2, 2): 1})
@@ -148,6 +148,39 @@ def reference_assembly(p: OrbifoldPresentation):
         level,
         {k: c for k, c in terms.items() if c},
     )
+
+
+def box_sectors(n, orders, weights) -> list[tuple[int, tuple[int, ...], int]]:
+    """Sectors of P^n by a diagonal action of Z/m_1 x ... x Z/m_k, from angles in Q/Z.
+
+    Independent of `build_projective_quotient`: no common order, no scaling
+    and no multiplicities.  The element with generator powers t turns
+    coordinate i by the angle theta_i = sum_j t_j w_ji / m_j, a Fraction in
+    [0, 1).  Each distinct angle chi gives the component P(V_chi), whose
+    normal directions turn by theta_i - chi in Q/Z: its order l is the least
+    l making every such angle integral (found by search), and its exponents
+    are l times the angles with one zero, for the component itself, left
+    out.  Element by element in product order, a nonidentity element with a
+    single angle raises ScalarActionError and a component with a single
+    nonzero exponent raises PseudoReflectionError.  Returns the sorted
+    (order, exponents, coarse dimension) of every sector.
+    """
+    sectors = []
+    for t in product(*(range(m) for m in orders)):
+        if not any(t):
+            sectors.append((1, (0,) * n, n))
+            continue
+        theta = [sum(Fraction(tj * row[i], m) for tj, m, row in zip(t, orders, weights)) % 1 for i in range(n + 1)]
+        if len(set(theta)) == 1:
+            raise ScalarActionError(f"element {t} is a scalar")
+        for chi in sorted(set(theta)):
+            turns = [(x - chi) % 1 for x in theta]
+            l = next(l for l in range(1, math.prod(orders) + 1) if all((l * x).denominator == 1 for x in turns))
+            exponents = sorted(int(l * x) for x in turns)[1:]
+            if len(exponents) - exponents.count(0) == 1:
+                raise PseudoReflectionError(f"element {t} fixes a hyperplane")
+            sectors.append((l, tuple(exponents), exponents.count(0)))
+    return sorted(sectors)
 
 
 def enumerate_matching_diamonds(n, column_vector, h01=None, limit=2):

@@ -11,7 +11,7 @@ import pytest
 
 from orbikit import GroupTooLargeError, ParseError, assemble_diamond, build_kummer
 from orbikit.catalog import catalog_entries, load_catalog_presentation
-from orbikit.cli import main, render_diamond
+from orbikit.cli import RENDERERS, main, render_diamond
 from orbikit.formats import diamond_from_obj, diamond_to_obj, dumps, loads
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -180,22 +180,33 @@ class TestExitCodes:
         code, _, err = run_cli("diamond", str(bad))
         assert code == 2
 
+    #: name -> (file bytes, exit code, part of the one-line error)
     HOSTILE_JSON = {
-        "duplicate_keys": (b'{"name": "a", "name": "b", "dim": 2, "sectors": []}', "duplicate key 'name'"),
-        "non_utf8": (b'{"name": "\xff\xfe", "dim": 2}', "not UTF-8"),
-        "deep_nesting": (b"[" * 100_000 + b"]" * 100_000, "nested too deeply"),
-        # Past Python's int-to-string digit limit: in the JSON parser, and in a grade string.
-        "huge_integer": (b'{"name": "a", "dim": ' + b"9" * 5000 + b', "sectors": []}', "invalid JSON"),
+        "duplicate_keys": (b'{"name": "a", "name": "b", "dim": 2, "sectors": []}', 2, "duplicate key 'name'"),
+        "non_utf8": (b'{"name": "\xff\xfe", "dim": 2}', 2, "not UTF-8"),
+        "deep_nesting": (b"[" * 100_000 + b"]" * 100_000, 2, "nested too deeply"),
+        # Past Python's int-to-string digit limit: in the JSON parser, in a grade string, and in a
+        # sector's count times its coarse h (two 4 200-digit integers that each read fine).
+        "huge_integer": (b'{"name": "a", "dim": ' + b"9" * 5000 + b', "sectors": []}', 2, "invalid JSON"),
         "huge_grade": (
             b'{"name": "a", "dim": 0, "sectors": [{"order": 1, "exponents": [], "diamond": [{"p": "'
             + b"9" * 5000 + b'", "q": 0, "h": 1}]}]}',
+            2,
             "not an exact rational grade",
+        ),
+        "huge_product": (
+            b'{"name": "a", "dim": 2, "sectors": [{"order": 1, "exponents": [0, 0], "diamond": '
+            b'[{"p": 0, "q": 0, "h": 1}, {"p": 1, "q": 1, "h": 1}, {"p": 2, "q": 2, "h": 1}]}, '
+            b'{"order": 2, "exponents": [1, 1], "diamond": [{"p": 0, "q": 0, "h": ' + b"9" * 4200 + b'}], '
+            b'"count": ' + b"9" * 4200 + b"}]}",
+            3,
+            "more than 4300 decimal digits",
         ),
     }
 
-    @pytest.mark.parametrize("name", HOSTILE_JSON)
+    @pytest.mark.parametrize("name", [name for name, (_, code, _) in HOSTILE_JSON.items() if code == 2])
     def test_hostile_json_is_two(self, tmp_path, monkeypatch, name):
-        data, message = self.HOSTILE_JSON[name]
+        data, _, message = self.HOSTILE_JSON[name]
         path = tmp_path / f"{name}.json"
         path.write_bytes(data)
         code, out, err = run_cli("diamond", str(path))
@@ -204,6 +215,18 @@ class TestExitCodes:
         # A user catalog entry is read by the same strict reader.
         monkeypatch.setenv("ORBIKIT_CATALOG_DIR", str(tmp_path))
         assert run_cli("diamond", name)[:2] == (2, "")
+
+    @pytest.mark.parametrize("name", [name for name, (_, code, _) in HOSTILE_JSON.items() if code == 3])
+    def test_hostile_json_past_parsing_is_three(self, tmp_path, name):
+        data, _, message = self.HOSTILE_JSON[name]
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(data)
+        calls = [("diamond", str(path), "--format", fmt) for fmt in RENDERERS]
+        calls.append(("partners", str(path), "kummer2"))
+        for argv in calls:
+            code, out, err = run_cli(*argv)
+            assert (code, out) == (3, ""), argv
+            assert err.count("\n") == 1 and err.startswith("error: ValidationError: ") and message in err, argv
 
     def test_directory_path_is_two(self, tmp_path):
         code, _, err = run_cli("diamond", str(tmp_path))

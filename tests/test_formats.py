@@ -11,6 +11,7 @@ from orbikit import (
     assemble_diamond,
 )
 from orbikit.formats import (
+    _diamond_json,
     diamond_from_obj,
     diamond_to_obj,
     dumps,
@@ -66,6 +67,23 @@ class TestDiamondFiles:
         obj = diamond_to_obj("x", d)
         assert obj["entries"] == [{"p": "3/2", "q": "3/2", "h": 64}]
         assert json.loads(dumps(obj))["entries"][0]["p"] == "3/2"
+
+    @pytest.mark.parametrize("name,d", [
+        ("k3", K3_DIAMOND),
+        ("fractional", HodgeDiamond(3, {(0, 0): 1, ("3/2", "3/2"): 64, ("1/3", "4/3"): 2, (3, 3): 1}, level=6)),
+        ("empty", HodgeDiamond(2, {})),
+        ("point", HodgeDiamond.point()),
+        ('Kähler "K3"\n\tsurface \\ ∞ \U0001d54f', K3_DIAMOND),
+        ("", HodgeDiamond(1, {(1, 0): 10**4000})),
+    ])
+    def test_direct_writer_equals_dumps(self, name, d):
+        assert _diamond_json(name, d) == dumps(diamond_to_obj(name, d))
+
+    def test_direct_writer_equals_dumps_on_assembled_diamonds(self, rng):
+        for _ in range(30):
+            p = random_presentation(rng)
+            d = assemble_diamond(p)
+            assert _diamond_json(p.name, d) == dumps(diamond_to_obj(p.name, d))
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ParseError):

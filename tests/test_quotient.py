@@ -1,5 +1,8 @@
+import hashlib
 import math
+import random
 import re
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -22,7 +25,7 @@ from orbikit import (
     is_gorenstein,
     stringy_e,
 )
-from support import K3_DIAMOND, KUMMER3_DIAMOND, P2_MU3_DIAMOND, expanded
+from support import K3_DIAMOND, KUMMER3_DIAMOND, P2_MU3_DIAMOND, box_sectors, expanded
 
 
 def spec(n, orders, weights):
@@ -172,6 +175,72 @@ class TestProjectiveQuotient:
             ProjectiveQuotientSpec(2, (3, 2), ((0, 1, 2),))
         with pytest.raises(ValidationError):
             ProjectiveQuotientSpec(0, (), ())
+
+
+class TestPinnedOutput:
+    """The builder's exact output: sectors in order, with labels and counts, and its error messages."""
+
+    # (spec, name) -> (stored pairs, name, sha256 of the repr of the sector rows)
+    CASES = {
+        "p2_mu3": (
+            (2, [3], [[0, 1, 2]]), "p2_mu3",
+            (7, "p2_mu3", "172a27d7b9af82c3dcc0bd0cdade9a8e3761b279042aa224614f1bf437253b56"),
+        ),
+        "p5_z20xz20": (
+            (5, [20, 20], [[0, 17, 19, 12, 15, 7], [0, 9, 0, 2, 4, 15]]), None,
+            (2067, "p5_z20xz20", "10886db17dcbeb26f65d4846ec39129151467514b73e112c0553e6e8766dcff1"),
+        ),
+        # Elements 3333 and 6666 have a 2-dimensional eigenspace (a fixed line).
+        "p3_z9999": (
+            (3, [9999], [[0, 1, 2, 12]]), None,
+            (39981, "p3_z9999", "528610d65d531f98df21a380273b5c2c8dd90105cf6ba4780b8e2e4a4f4e2f47"),
+        ),
+        "trivial": (
+            (2, [], []), None,
+            (1, "p2_trivial", "b9c7d9c71224dfdab272d88380d70f3a217f2d1ab1b5b7f03d3cfd32836b25a1"),
+        ),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_sector_digest(self, case):
+        args, name, expected = self.CASES[case]
+        p = build_projective_quotient(spec(*args), name=name)
+        rows = [(c.order_l, c.exponents, c.coarse_diamond.dim_n, c.label, count) for c, count in p.sectors]
+        assert (len(rows), p.name, hashlib.sha256(repr(rows).encode()).hexdigest()) == expected
+
+    @pytest.mark.parametrize("args,error,message", [
+        ((2, [3], [[1, 1, 1]]), ScalarActionError, "element with generator powers (1,) acts as a scalar on P^2"),
+        ((2, [3, 3], [[0, 1, 2], [0, 1, 2]]), ScalarActionError,
+         "element with generator powers (1, 2) acts as a scalar on P^2"),
+        ((3, [6], [[0, 0, 2, 3]]), PseudoReflectionError,
+         "sector 'g=(2) eig=0' with exponents (0, 0, 2) fixes a codimension-one locus"),
+    ])
+    def test_error_messages(self, args, error, message):
+        with pytest.raises(ValidationError) as caught:
+            build_projective_quotient(spec(*args))
+        assert (type(caught.value), str(caught.value)) == (error, message)
+
+    def test_box_oracle_on_random_specs(self):
+        """The builder against the Q/Z box oracle: same sector multiset, or the same error type."""
+        rng = random.Random(20261018)
+        outcomes = Counter()
+        for _ in range(300):
+            n = rng.randint(1, 4)
+            orders = [rng.choice([2, 3, 4, 5, 6, 8, 9, 10, 12]) for _ in range(rng.randint(1, 2))]
+            weights = [[rng.randrange(m) for _ in range(n + 1)] for m in orders]
+            try:
+                expected = box_sectors(n, orders, weights)
+            except ValidationError as exc:
+                with pytest.raises(type(exc)):
+                    build_projective_quotient(spec(n, orders, weights))
+                outcomes[type(exc).__name__] += 1
+                continue
+            p = build_projective_quotient(spec(n, orders, weights))
+            got = sorted((c.order_l, c.exponents, c.coarse_diamond.dim_n) for c in expanded(p))
+            assert got == expected, (n, orders, weights)
+            outcomes["built"] += 1
+        # Each outcome occurs often enough to count (27 scalar actions is the fewest at this seed).
+        assert min(outcomes[k] for k in ("built", "ScalarActionError", "PseudoReflectionError")) >= 20
 
 
 class TestKummer:
