@@ -160,7 +160,7 @@ def build_projective_quotient(spec: ProjectiveQuotientSpec, name: str | None = N
         l = big // g0
         t_label = ",".join(map(str, t))
         for chi in chis:
-            # One zero per coordinate of V_chi, so dim V_chi zeros; the first is the component's own direction.
+            # dim V_chi zeros, one per coordinate of V_chi; P(V_chi) has one tangent direction fewer.
             exponents = sorted([(e - chi) % big // g0 for e in eig])
             label = f"g=({t_label}) eig={chi}"
             components.append(InertiaComponent(l, exponents[1:], projective(exponents.count(0) - 1), label=label))
