@@ -14,6 +14,7 @@ import argparse
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .catalog import catalog_entries, source_document
 from .diamond import ColumnVector, HodgeDiamond, check_symmetries, format_grade
@@ -192,6 +193,7 @@ def cmd_catalog(args) -> int:
     return 0
 
 
+@cache  # built once per process: parsing keeps no state, each call gets a new Namespace
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="orbikit",

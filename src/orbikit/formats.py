@@ -23,10 +23,12 @@ Grades are JSON integers or exact strings "a/b" in lowest terms, never
 decimals; `as_grade` is the one parser.  The optional sector field "count"
 is the sector's multiplicity: it is kept, not expanded, as the count of a
 (component, count) pair, and canonical output writes it back when it is
-above 1.  The parser is strict: unknown fields, duplicate keys, non-UTF-8
-input, overdeep nesting and overlong integers are errors.  Serialization is
-canonical (sectors sorted by order, exponents, label, never merged; entries
-sorted by p, q), so output re-parses and re-serializes to identical bytes.
+above 1.  A coarse diamond repeated across sectors is read once and shared,
+as the count is; every sector is still checked in full.  The parser is
+strict: unknown fields, duplicate keys, non-UTF-8 input, overdeep nesting
+and overlong integers are errors.  Serialization is canonical (sectors
+sorted by order, exponents, label, never merged; entries sorted by p, q),
+so output re-parses and re-serializes to identical bytes.
 """
 
 from __future__ import annotations
@@ -81,11 +83,12 @@ def _require_keys(obj: dict, required: set[str], optional: set[str], where: str)
         raise ParseError(f"{where}: unknown field(s) {sorted(unknown)}")
 
 
-def _entries_from_json(raw: Any, where: str) -> list[tuple[tuple[Fraction, Fraction], int]]:
+def _entries_from_json(raw: Any, where: str) -> tuple[list[tuple[tuple[Fraction, Fraction], int]], tuple]:
+    """The checked entries, and their integer forms ((p, q) as numerators and denominators, h) in order."""
     if not isinstance(raw, list):
         raise ParseError(f"{where}: expected a list of {{p, q, h}} objects")
     entries = []
-    seen: set[tuple[int, int, int, int]] = set()  # integer forms of the keys: no Fraction is hashed
+    seen: dict[tuple[int, int, int, int], int] = {}  # integer forms of the keys: no Fraction is hashed
     for k, item in enumerate(raw):
         spot = f"{where}[{k}]"
         _require_keys(item, {"p", "q", "h"}, set(), spot)
@@ -95,9 +98,9 @@ def _entries_from_json(raw: Any, where: str) -> list[tuple[tuple[Fraction, Fract
         key = (p.numerator, p.denominator, q.numerator, q.denominator)
         if key in seen:
             raise ParseError(f"{spot}: duplicate entry at {_format_key((p, q))}")
-        seen.add(key)
+        seen[key] = h
         entries.append(((p, q), h))
-    return entries
+    return entries, tuple(seen.items())
 
 
 def _entries_to_json(d: HodgeDiamond) -> list[dict]:
@@ -118,6 +121,7 @@ def presentation_from_obj(obj: Any) -> OrbifoldPresentation:
     if not isinstance(raw_sectors, list):
         raise ParseError("sectors: expected a list")
     sectors: list[tuple[InertiaComponent, int]] = []
+    coarse: dict[tuple, HodgeDiamond] = {}  # (coarse dim, integer forms of the entries): built once
     for k, sector in enumerate(raw_sectors):
         where = f"sectors[{k}]"
         _require_keys(sector, {"order", "exponents", "diamond"}, {"count", "label"}, where)
@@ -126,14 +130,15 @@ def presentation_from_obj(obj: Any) -> OrbifoldPresentation:
         if not isinstance(raw_exps, list):
             raise ParseError(f"{where}.exponents: expected a list of integers")
         exponents = [_require_int(a, f"{where}.exponents") for a in raw_exps]
-        entries = _entries_from_json(sector["diamond"], f"{where}.diamond")
+        entries, forms = _entries_from_json(sector["diamond"], f"{where}.diamond")
         count = _require_int(sector.get("count", 1), f"{where}.count")
         if count < 1:
             raise ParseError(f"{where}.count: must be >= 1, got {count}")
         label = _require_str(sector.get("label", ""), f"{where}.label")
-        coarse_dim = sum(1 for a in exponents if a == 0)
-        coarse = HodgeDiamond(coarse_dim, entries)
-        component = InertiaComponent(order, exponents, coarse, label=label)
+        key = (exponents.count(0), forms)
+        if key not in coarse:
+            coarse[key] = HodgeDiamond(key[0], entries)
+        component = InertiaComponent(order, exponents, coarse[key], label=label)
         sectors.append((component, count))
     return OrbifoldPresentation(dim, sectors, name=name)
 
@@ -184,8 +189,7 @@ def diamond_from_obj(obj: Any) -> tuple[str, HodgeDiamond]:
     _require_keys(obj, {"name", "dim", "entries"}, set(), "diamond file")
     name = _require_str(obj["name"], "name")
     dim = _require_int(obj["dim"], "dim")
-    entries = _entries_from_json(obj["entries"], "entries")
-    return name, HodgeDiamond(dim, entries)
+    return name, HodgeDiamond(dim, _entries_from_json(obj["entries"], "entries")[0])
 
 
 def document_from_obj(obj: Any, source: str, diamond_files: bool = False) -> OrbifoldPresentation | tuple[str, HodgeDiamond]:

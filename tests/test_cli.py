@@ -11,7 +11,7 @@ import pytest
 
 from orbikit import GroupTooLargeError, ParseError, assemble_diamond, build_kummer
 from orbikit.catalog import catalog_entries, load_catalog_presentation
-from orbikit.cli import RENDERERS, main, render_diamond
+from orbikit.cli import RENDERERS, _build_parser, main, render_diamond
 from orbikit.formats import diamond_from_obj, diamond_to_obj, dumps, loads
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -446,6 +446,39 @@ class TestInputs:
     def test_strict_flag(self):
         code, out, _ = run_cli("partners", "p2_mu3", "p2_mu3", "--strict-dim3")
         assert code == 0 and "strict: equal" in out
+
+
+class TestParserBuiltOnce:
+    """`main` reuses one parser per process; no call sees the options of an earlier one."""
+
+    def test_the_parser_is_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    @pytest.mark.parametrize(
+        "earlier,later,golden",
+        [
+            (["check", "kummer2", "--serre"], ["check", "kummer2"], "check_kummer2.txt"),
+            (["diamond", "kummer2", "--format", "csv"], ["diamond", "kummer2"], "diamond_kummer2_table.txt"),
+            (["partners", "kummer2", "p2_mu3", "--strict-dim3"], ["partners", "kummer2", "kummer2"],
+             "partners_kummer2_kummer2.txt"),
+        ],
+        ids=["check_flag", "diamond_format", "partners_flag"],
+    )
+    def test_options_do_not_carry_over(self, earlier, later, golden, monkeypatch):
+        monkeypatch.delenv("ORBIKIT_CATALOG_DIR", raising=False)
+        run_cli(*earlier)
+        code, out, err = run_cli(*later)
+        assert code == 0 and err == ""
+        check_golden(golden, out)
+
+    def test_a_usage_error_leaves_the_parser_working(self, monkeypatch, capsys):
+        monkeypatch.delenv("ORBIKIT_CATALOG_DIR", raising=False)
+        with pytest.raises(SystemExit) as exc:
+            main(["diamond", "kummer2", "--format", "pdf"])
+        assert exc.value.code == 2 and "invalid choice: 'pdf'" in capsys.readouterr().err
+        code, out, err = run_cli("diamond", "kummer2")
+        assert code == 0 and err == ""
+        check_golden("diamond_kummer2_table.txt", out)
 
 
 def test_quintic_fixture_entries():

@@ -6,9 +6,14 @@ import pytest
 from orbikit import (
     HodgeDiamond,
     ParseError,
+    ProjectiveQuotientSpec,
     PseudoReflectionError,
     ValidationError,
     assemble_diamond,
+    build_kummer,
+    build_projective_quotient,
+    columns,
+    hochschild_via_sectors,
 )
 from orbikit.formats import (
     _diamond_json,
@@ -238,3 +243,85 @@ class TestOrbifoldFiles:
         orders = [s["order"] for s in obj["sectors"]]
         assert orders == sorted(orders)
         assert orders[0] == 1
+
+
+P2_ENTRIES = [{"p": 0, "q": 0, "h": 1}, {"p": 1, "q": 1, "h": 1}, {"p": 2, "q": 2, "h": 1}]
+POINT_ENTRIES = [{"p": 0, "q": 0, "h": 1}]
+
+
+def _two_twisted(second):
+    """P^2 with an isolated sector of order 3, then a second one whose coarse diamond is `second`."""
+    return {
+        "name": "x",
+        "dim": 2,
+        "sectors": [
+            {"order": 1, "exponents": [0, 0], "diamond": P2_ENTRIES},
+            {"order": 3, "exponents": [1, 2], "diamond": POINT_ENTRIES},
+            {"order": 3, "exponents": [2, 1], "diamond": second},
+        ],
+    }
+
+
+class TestSharedCoarseDiamonds:
+    """A coarse diamond repeated across sectors is read once; every sector is still checked."""
+
+    @pytest.mark.parametrize(
+        "second,error,message",
+        [
+            # Equal to the point's entries under Python ==, invalid as JSON grades or dimensions.
+            ([{"p": 0.0, "q": 0, "h": 1}], ParseError,
+             "sectors[2].diamond[0]: not an exact rational grade: 0.0 (use int, Fraction or 'a/b' in lowest terms)"),
+            ([{"p": 0, "q": False, "h": 1}], ParseError,
+             "sectors[2].diamond[0]: not an exact rational grade: False (use int, Fraction or 'a/b' in lowest terms)"),
+            ([{"p": 0, "q": 0, "h": True}], ParseError, "sectors[2].diamond[0]: expected an integer, got True"),
+            ([{"p": 0, "q": 0, "h": 1.0}], ParseError, "sectors[2].diamond[0]: expected an integer, got 1.0"),
+            (POINT_ENTRIES * 2, ParseError, "sectors[2].diamond[1]: duplicate entry at (0,0)"),
+            ([{"p": 0, "q": 0, "h": -1}], ValidationError, "negative dimension h^{0,0} = -1"),
+        ],
+        ids=["float_grade", "bool_grade", "bool_h", "float_h", "duplicate", "negative_h"],
+    )
+    def test_a_repeat_accepts_nothing_new(self, second, error, message):
+        presentation_from_obj(_two_twisted(POINT_ENTRIES))
+        with pytest.raises(error) as exc:
+            presentation_from_obj(_two_twisted(second))
+        assert type(exc.value) is error and str(exc.value) == message
+
+    def test_same_entries_under_a_smaller_coarse_dimension_are_checked_again(self):
+        obj = {
+            "name": "x",
+            "dim": 2,
+            "sectors": [
+                {"order": 1, "exponents": [0, 0], "diamond": P2_ENTRIES},
+                {"order": 3, "exponents": [1, 2], "diamond": P2_ENTRIES},
+            ],
+        }
+        with pytest.raises(ValidationError) as exc:
+            presentation_from_obj(obj)
+        assert type(exc.value) is ValidationError and str(exc.value) == "grade (1,1) outside [0, 0]"
+
+    def test_equal_grades_in_other_spellings_share_one_diamond(self):
+        p = presentation_from_obj(_two_twisted([{"p": "0", "q": "0/1", "h": 1}]))
+        assert p.sectors[1][0].coarse_diamond is p.sectors[2][0].coarse_diamond
+
+    def test_different_values_do_not_share(self):
+        p = presentation_from_obj(_two_twisted([{"p": 0, "q": 0, "h": 2}]))
+        assert p.sectors[2][0].coarse_diamond == HodgeDiamond(0, {(0, 0): 2})
+
+    @pytest.mark.parametrize(
+        "p,distinct_max",
+        [
+            (build_projective_quotient(ProjectiveQuotientSpec(3, (101,), ((0, 1, 2, 12),)), name="p3_z101"), 4),
+            (build_kummer(3), 4),
+        ],
+        ids=["p3_z101", "kummer3"],
+    )
+    def test_parsed_presentations_share_coarse_diamonds(self, p, distinct_max):
+        obj = loads(dumps(presentation_to_obj(p)))
+        if len(obj["sectors"]) == 2:  # a count file: split the twisted count over four sectors
+            untwisted, twisted = obj["sectors"]
+            obj["sectors"] = [untwisted] + [{**twisted, "count": twisted["count"] // 4}] * 4
+        again = presentation_from_obj(obj)
+        assert again == p
+        assert len(again.sectors) == len(obj["sectors"]) > distinct_max
+        assert len({id(c.coarse_diamond) for c, _ in again.sectors}) <= distinct_max
+        assert hochschild_via_sectors(again) == columns(assemble_diamond(again))
