@@ -137,8 +137,8 @@ def _parse_columns_flag(text: str, n: int) -> ColumnVector:
         if i in given and given[i] != v:
             raise ParseError(f"--columns: column {i} given twice with different values")
         given[i] = v
-    # Mirror onto the negative side; reconstruct_gorenstein rejects contradictions.
-    return ColumnVector(n, {**{-i: v for i, v in given.items()}, **given})
+    # Given keys first, so a bad one is reported as typed; reconstruct_gorenstein rejects contradictions.
+    return ColumnVector(n, {**given, **{-i: v for i, v in given.items() if -i not in given}})
 
 
 def cmd_diamond(args) -> int:

@@ -38,12 +38,14 @@ from collections import Counter
 from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, get_args
+from typing import Any
 
 from .diamond import Grade, HodgeDiamond, _format_key, as_grade, format_grade, is_int
 from .errors import ParseError, ValidationError
 from .inertia import InertiaComponent, OrbifoldPresentation
 from .quotient import GENERATORS
+
+_EXPONENTS = tuple[int, ...]  # a sector's exponents as a `_from_json_shape` shape, built once, not per sector
 
 
 def grade_to_json(g: Grade) -> int | str:
@@ -126,10 +128,7 @@ def presentation_from_obj(obj: Any) -> OrbifoldPresentation:
         where = f"sectors[{k}]"
         _require_keys(sector, {"order", "exponents", "diamond"}, {"count", "label"}, where)
         order = _require_int(sector["order"], f"{where}.order")
-        raw_exps = sector["exponents"]
-        if not isinstance(raw_exps, list):
-            raise ParseError(f"{where}.exponents: expected a list of integers")
-        exponents = [_require_int(a, f"{where}.exponents") for a in raw_exps]
+        exponents = _from_json_shape(sector["exponents"], _EXPONENTS, f"{where}.exponents")
         entries, forms = _entries_from_json(sector["diamond"], f"{where}.diamond")
         count = _require_int(sector.get("count", 1), f"{where}.count")
         if count < 1:
@@ -144,13 +143,13 @@ def presentation_from_obj(obj: Any) -> OrbifoldPresentation:
 
 
 def _from_json_shape(value: Any, shape: Any, where: str) -> Any:
-    """`value` as a `quotient.GENERATORS` spec field of type `shape`: an int, or a tuple from a JSON list."""
+    """`value` as a field of type `shape` (a generator spec field, a sector's exponents): an int, or a tuple."""
     if shape is int:
         return _require_int(value, where)
-    item = get_args(shape)[0]
+    item = shape.__args__[0]
     if not isinstance(value, list):
         raise ParseError(f"{where}: expected a list of {'integers' if item is int else 'integer rows'}")
-    return tuple(_from_json_shape(v, item, where) for v in value)
+    return tuple([_require_int(v, where) if item is int else _from_json_shape(v, item, where) for v in value])
 
 
 def _presentation_from_generator(obj: dict) -> OrbifoldPresentation:

@@ -8,9 +8,9 @@ Two orbifolds with equivalent derived categories must share:
   at most n - 2 and cannot reach the |p - q| >= n - 1 diagonals).
 
 These conditions are necessary, never sufficient; `check_partners` reports
-them without ever certifying an equivalence.  In the Gorenstein case up to
-dimension three the conditions determine the whole diamond, which
-`reconstruct_gorenstein` solves for in closed form.
+them without ever certifying an equivalence.  Up to dimension three they fix a
+Gorenstein diamond (`reconstruct_gorenstein`): given h^{0,0} and h^{0,1}, each
+diagonal has one unknown symmetry orbit at most; in dimension four diagonal 0 has two.
 """
 
 from __future__ import annotations
@@ -215,60 +215,42 @@ def reconstruct_gorenstein(
     if n != c.dim_n:
         raise InconsistentError(f"columns are for dimension {c.dim_n}, not {n}")
     if n > 3:
-        raise UnsupportedDimensionError(
-            f"closed-form reconstruction only exists for dimension <= 3, got {n}"
-        )
+        raise UnsupportedDimensionError(f"closed-form reconstruction only exists for dimension <= 3, got {n}")
     if h01 is not None and (not is_int(h01) or h01 < 0):
         raise ValidationError(f"h01 must be a nonnegative integer, got {h01!r}")
     for i in range(1, n + 1):
         if c[i] != c[-i]:
             raise InconsistentError(f"columns {i} and {-i} differ ({c[i]} vs {c[-i]})")
 
-    def even_half(value: int, what: str) -> int:
-        if value % 2:
-            raise InconsistentError(f"{what} must be even, got {value}")
-        return value // 2
+    if n == 3 and h01 is None:
+        raise InconsistentError("h01 is required to reconstruct a threefold diamond")
+    if n == 0 and h01:
+        raise InconsistentError(f"h01 given as {h01}, but a point has no h^{{1,0}}")
 
-    def known_h01(value: int):
-        if h01 is not None and h01 != value:
-            raise InconsistentError(f"h01 given as {h01} but the columns force {value}")
-
-    # One value per orbit of the Hodge and Serre symmetries, keyed by a representative.
-    if n == 0:
-        if c[0] != 1:
-            raise InconsistentError(f"a point has column sum 1, got {c[0]}")
-        known_h01(0)
-        orbits = {(0, 0): 1}
-    elif n == 1:
-        if c[0] != 2:
-            raise InconsistentError(f"column 0 must be 2 (h^{{0,0}} + h^{{1,1}}), got {c[0]}")
-        known_h01(c[1])
-        orbits = {(0, 0): 1, (1, 0): c[1]}
-    elif n == 2:
-        h10 = even_half(c[1], "column 1")
-        known_h01(h10)
-        if c[0] < 2:
-            raise InconsistentError(f"column 0 must be at least 2, got {c[0]}")
-        orbits = {(0, 0): 1, (1, 0): h10, (2, 0): c[2], (1, 1): c[0] - 2}
-    else:
-        if h01 is None:
-            raise InconsistentError("h01 is required to reconstruct a threefold diamond")
-        h20 = even_half(c[2], "column 2")
-        h21 = c[1] - 2 * h01
-        if h21 < 0:
-            raise InconsistentError(f"column 1 ({c[1]}) is smaller than 2*h01 ({2 * h01})")
-        h11 = even_half(c[0] - 2, "column 0 minus 2")
-        if h11 < 0:
-            raise InconsistentError(f"column 0 must be at least 2, got {c[0]}")
-        orbits = {(0, 0): 1, (1, 0): h01, (2, 0): h20, (3, 0): c[3], (1, 1): h11, (2, 1): h21}
+    # Hodge and Serre symmetry pair h^{p,p-i} with h^{n+i-p,n-p}, so diagonal i has one value per p in
+    # [i, (n+i)/2], weighted 2 in column i, or 1 when 2p = n + i.  Given h^{0,0} = 1 and h^{1,0} = h01,
+    # no diagonal has two unknowns up to n = 3; at n = 4 diagonal 0 has two, h^{1,1} and h^{2,2}.
+    orbits = {(0, 0): 1, (1, 0): h01} if n and h01 is not None else {(0, 0): 1}  # one value per orbit
+    for i in range(n + 1):
+        rest, key, weight = c[i], None, 1
+        for p in range(i, (n + i) // 2 + 1):
+            w = 1 if 2 * p == n + i else 2
+            if (p, p - i) in orbits:
+                rest -= w * orbits[p, p - i]
+            else:
+                key, weight = (p, p - i), w
+        if rest < 0 or rest % weight or (rest and key is None):
+            why = f"not {weight} times a nonnegative h^{{{key[0]},{key[1]}}}" if key else "but no entry is unknown"
+            raise InconsistentError(f"column {i} ({c[i]}) leaves {rest}, {why}" + ("" if h01 is None else f" (h01 = {h01})"))
+        if key is not None:
+            orbits[key] = rest // weight
 
     result = HodgeDiamond(n, {
         key: h
         for (p, q), h in orbits.items()
         for key in ((p, q), (q, p), (n - p, n - q), (n - q, n - p))
     })
-    # Self-verifying postconditions; the solve above is triangular, so a
-    # failure here means a bug, not bad input.
+    # Postconditions: the solve above is triangular, so a failure here is a bug, not bad input.
     assert columns(result) == c
     assert check_symmetries(result) == SymmetryReport(serre=True, hodge=True)
     return result

@@ -174,6 +174,10 @@ class TestExitCodes:
         code, _, err = run_cli("reconstruct", "--dim", "3", "--columns", "3:1,2:1,1:0,0:4", "--h01", "0")
         assert code == 1 and "Inconsistent" in err
 
+    def test_out_of_range_column_is_named_as_given(self):
+        code, out, err = run_cli("reconstruct", "--dim", "2", "--columns", "7:1")
+        assert (code, out) == (3, "") and "column index 7 outside" in err
+
     def test_malformed_json_is_two(self, tmp_path):
         bad = tmp_path / "broken.json"
         bad.write_text("{")
@@ -395,6 +399,18 @@ class TestInputs:
         assert code == 0 and "myorb" in out
         code, out, _ = run_cli("diamond", "myorb", "--format", "json")
         assert code == 0 and json.loads(out)["name"] == "myorb"
+
+    def test_user_catalog_entry_replaces_a_builtin(self, tmp_path, monkeypatch):
+        path = tmp_path / "kummer2.json"
+        path.write_text(json.dumps({"family": "kummer", "params": {"torus_dim_n": 3}}))
+        monkeypatch.setenv("ORBIKIT_CATALOG_DIR", str(tmp_path))
+        code, out, _ = run_cli("catalog", "--format", "json")
+        kinds = {e["name"]: e["kind"] for e in json.loads(out)["entries"]}
+        assert code == 0 and kinds["kummer2"] == "file"
+        assert load_catalog_presentation(catalog_entries()["kummer2"]) == build_kummer(3)
+        code, out, err = run_cli("diamond", "kummer2")
+        assert (code, out, err) == run_cli("diamond", str(path)) and code == 0
+        assert out == run_cli("diamond", "kummer3")[1]
 
     def test_user_catalog_diamond_file_behaves_like_its_path(self, tmp_path, monkeypatch, k3_diamond):
         path = tmp_path / "k3d.json"

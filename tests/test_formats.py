@@ -220,6 +220,21 @@ class TestOrbifoldFiles:
         with pytest.raises(ParseError):
             presentation_from_obj(obj)
 
+    @pytest.mark.parametrize(
+        "exponents,message",
+        [
+            ({"a": 1}, "sectors[0].exponents: expected a list of integers"),
+            ("11", "sectors[0].exponents: expected a list of integers"),
+            ([1, 1.0], "sectors[0].exponents: expected an integer, got 1.0"),
+            ([True, 1], "sectors[0].exponents: expected an integer, got True"),
+        ],
+    )
+    def test_bad_exponents_rejected(self, exponents, message):
+        obj = {"name": "x", "dim": 2, "sectors": [{"order": 2, "exponents": exponents, "diamond": POINT_ENTRIES}]}
+        with pytest.raises(ParseError) as exc:
+            presentation_from_obj(obj)
+        assert str(exc.value) == message
+
     def test_validation_errors_bubble_up(self):
         obj = {
             "name": "bad",

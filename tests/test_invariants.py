@@ -1,5 +1,6 @@
 import pytest
 from fractions import Fraction
+from itertools import product
 
 from orbikit import (
     ColumnVector,
@@ -182,6 +183,8 @@ class TestReconstruct:
         assert reconstruct_gorenstein(ColumnVector(0, {0: 1})) == HodgeDiamond(0, {(0, 0): 1})
         genus2 = reconstruct_gorenstein(ColumnVector(1, {1: 2, -1: 2, 0: 2}))
         assert genus2 == HodgeDiamond(1, {(0, 0): 1, (1, 1): 1, (1, 0): 2, (0, 1): 2})
+        with pytest.raises(InconsistentError, match="h01"):
+            reconstruct_gorenstein(ColumnVector(0, {0: 1}), h01=1)
 
     @pytest.mark.parametrize(
         "cols,h01",
@@ -221,6 +224,34 @@ class TestReconstruct:
     def test_dimension_argument_must_match(self):
         with pytest.raises(InconsistentError):
             reconstruct_gorenstein(ColumnVector(2, {0: 22}), n=3)
+
+    def test_agrees_with_brute_force(self):
+        """Every symmetric column vector with values 0..5: the unique brute-force diamond, else
+        InconsistentError naming the column.  The oracle knows neither stated rule: a threefold
+        needs h01, and a point has no h^{1,0}."""
+        for n in range(5):
+            for values in product(range(6), repeat=n + 1):
+                c = ColumnVector(n, {s * i: v for i, v in enumerate(values) for s in (1, -1)})
+                for h01 in (None, 0, 1, 2):
+                    if n == 4:
+                        with pytest.raises(UnsupportedDimensionError):
+                            reconstruct_gorenstein(c, h01=h01)
+                        continue
+                    if n == 3 and h01 is None:
+                        with pytest.raises(InconsistentError) as exc:
+                            reconstruct_gorenstein(c)
+                        assert str(exc.value) == "h01 is required to reconstruct a threefold diamond"
+                        continue
+                    if n == 0 and h01:
+                        with pytest.raises(InconsistentError):
+                            reconstruct_gorenstein(c, h01=h01)
+                        continue
+                    found = enumerate_matching_diamonds(n, c, h01=h01, limit=2)
+                    if len(found) == 1:
+                        assert reconstruct_gorenstein(c, h01=h01) == found[0]
+                    else:
+                        with pytest.raises(InconsistentError, match="column"):
+                            reconstruct_gorenstein(c, h01=h01)
 
     def test_round_trip_random(self, rng):
         for _ in range(200):
