@@ -83,24 +83,23 @@ def _format_key(key) -> str:
 
 def _lattice_point(x: GradeLike, y: GradeLike) -> tuple[int, int, int]:
     """(a, c, b) with (as_grade(x), as_grade(y)) = (a/b, c/b), b the lcm of the two denominators."""
+    if type(x) is int and type(y) is int:  # already on the lattice: no Fraction is made
+        return x, y, 1
     p, q = as_grade(x), as_grade(y)
     b = math.lcm(p.denominator, q.denominator)
     return p.numerator * (b // p.denominator), q.numerator * (b // q.denominator), b
 
 
-def _check_entry(dim_n: int, x, y, h, unit: int | None = None) -> tuple[int, int, int]:
-    """The checks of one diamond entry h at (x, y), in order; returns its lattice point (a, c, b).
+def _check_entry(dim_n: int, x, y, h) -> tuple[int, int, int]:
+    """The checks of one diamond entry h at the grade-likes (x, y), in order; returns its lattice point (a, c, b).
 
-    (x, y) are grade-likes, or with `unit` the lattice point (x/unit, y/unit).
-    h is a nonnegative int, 0 <= a, c <= dim_n * b, and b divides a - c
-    (p - q is an integer).
+    h is a nonnegative int, 0 <= a, c <= dim_n * b, and b divides a - c (p - q is an integer).
     """
-    if not is_int(h) or h < 0:
-        p, q = (x, y) if unit is None else (Fraction(x, unit), Fraction(y, unit))
-        if not is_int(h):
-            raise ValidationError(f"dimension h^{{{p},{q}}} must be an integer, got {h!r}")
-        raise ValidationError(f"negative dimension h^{{{p},{q}}} = {h}")
-    a, c, b = _lattice_point(x, y) if unit is None else (x, y, unit)
+    if not is_int(h):
+        raise ValidationError(f"dimension h^{{{x},{y}}} must be an integer, got {h!r}")
+    if h < 0:
+        raise ValidationError(f"negative dimension h^{{{x},{y}}} = {h}")
+    a, c, b = _lattice_point(x, y)
     if not (0 <= a <= dim_n * b and 0 <= c <= dim_n * b):
         raise ValidationError(f"grade {_format_key((Fraction(a, b), Fraction(c, b)))} outside [0, {dim_n}]")
     if (a - c) % b:
@@ -108,12 +107,11 @@ def _check_entry(dim_n: int, x, y, h, unit: int | None = None) -> tuple[int, int
     return a, c, b
 
 
-def _check_term(x, y, v, unit: int | None = None) -> tuple[int, int, int]:
+def _check_term(x, y, v) -> tuple[int, int, int]:
     """The check of one stringy term v at (x, y), as `_check_entry`: v is an int."""
     if not is_int(v):
-        p, q = (x, y) if unit is None else (Fraction(x, unit), Fraction(y, unit))
-        raise ValidationError(f"coefficient at ({p},{q}) must be an integer, got {v!r}")
-    return _lattice_point(x, y) if unit is None else (x, y, unit)
+        raise ValidationError(f"coefficient at ({x},{y}) must be an integer, got {v!r}")
+    return _lattice_point(x, y)
 
 
 class _SparseMap:
@@ -181,38 +179,41 @@ class _GradedMap(_SparseMap):
 
     The key (a, c) stands for (a/unit, c/unit).  `unit` is canonical: the
     lcm of the grade denominators (1 when there are none), so equal maps
-    have equal keys whatever unit they were built on.  Grades become
-    `Fraction`s only at the public edge (`items`, `keys`, `entries`,
-    `terms`), one per distinct numerator; `lattice` hands the integers to
-    the rest of the package.
+    have equal keys whatever unit they were built on.  One core,
+    `_on_lattice`, stores the map; the public constructors reach it through
+    the checks of `_store`, `inertia` through `_from_lattice`, unchecked.
+    Grades become `Fraction`s only at the public edge (`items`, `keys`,
+    `entries`, `terms`), one per distinct numerator; `lattice` hands the
+    integers to the rest of the package.
     """
 
-    __slots__ = ()
+    __slots__ = ("_level",)  # a HodgeDiamond's `level`, also kept by `_from_lattice` for a StringyPolynomial
 
-    def _store(self, dim_n: int | None, pairs: Iterable, check, unit: int | None) -> None:
-        """Check each of `pairs` with `check`, then sum them on the lattice, drop zeros and reduce the unit."""
-        points = [(check(x, y, v, unit), v) for (x, y), v in pairs]
+    def _on_lattice(self, dim_n: int | None, unit: int, acc: Mapping[tuple[int, int], int]) -> None:
+        """The core: store the map (a, c) -> value on (1/unit)Z, zeros dropped and `unit` reduced by the gcd."""
+        g = math.gcd(unit, *(x for key, v in acc.items() if v for x in key))
+        super().__init__(dim_n, {(a // g, c // g): v for (a, c), v in acc.items() if v}, unit // g)
+
+    def _store(self, dim_n: int | None, pairs: Iterable, check) -> None:
+        """Check each of `pairs` with `check`, then sum them on the lcm of their denominators."""
+        points = [(check(x, y, v), v) for (x, y), v in pairs]
         common = math.lcm(1, *{b for (_, _, b), _ in points})
         acc: dict[tuple[int, int], int] = {}
         for (a, c, b), v in points:
             key = (a * (common // b), c * (common // b))
             acc[key] = acc.get(key, 0) + v
-        acc = {k: v for k, v in acc.items() if v}
-        g = math.gcd(common, *(x for key in acc for x in key))
-        if g > 1:
-            common //= g
-            acc = {(a // g, c // g): v for (a, c), v in acc.items()}
-        super().__init__(dim_n, acc, common)
+        self._on_lattice(dim_n, common, acc)
 
     @classmethod
-    def _from_lattice(cls, unit: int, *args):
-        """`cls(*args)` with its entries given as ((a, c), value) at (a/unit, c/unit).
+    def _from_lattice(cls, dim_n: int | None, unit: int, acc: Mapping[tuple[int, int], int]):
+        """`cls` from `inertia.shifted_sum`'s (level, acc) by the core alone, checking nothing.
 
-        The way in for `inertia.shifted_sum`: the same checks run on the
-        integers, and no grade becomes a `Fraction`.
+        Precondition, proved by `shifted_sum`: keys lie in [0, dim_n * unit]^2 with unit dividing a - c, and
+        values are positive sums of h times counts, signed by (-1)^{p-q} for stringy terms (never cancelling).
         """
         made = cls.__new__(cls)
-        made._fill(*args, unit=unit)
+        made._on_lattice(dim_n, unit, acc)
+        made._level = unit  # the lcm of the sector orders, a multiple of the reduced unit
         return made
 
     def lattice(self) -> tuple[int, Mapping[tuple[int, int], int]]:
@@ -264,7 +265,7 @@ class HodgeDiamond(_GradedMap):
     immutable.
     """
 
-    __slots__ = ("_level",)
+    __slots__ = ()
 
     def __init__(
         self,
@@ -272,14 +273,11 @@ class HodgeDiamond(_GradedMap):
         entries: Mapping[Tuple[GradeLike, GradeLike], int] | Iterable[tuple[Tuple[GradeLike, GradeLike], int]],
         level: int = 1,
     ):
-        self._fill(dim_n, entries, level)
-
-    def _fill(self, dim_n, entries, level, unit=None) -> None:
         check_dim(dim_n)
         if not is_int(level) or level < 1:
             raise ValidationError(f"level must be a positive integer, got {level!r}")
         items = entries.items() if isinstance(entries, Mapping) else entries
-        self._store(dim_n, items, partial(_check_entry, dim_n), unit)
+        self._store(dim_n, items, partial(_check_entry, dim_n))
         self._level = math.lcm(level, self._unit)
 
     @property
@@ -340,10 +338,7 @@ class StringyPolynomial(_GradedMap):
     __slots__ = ()
 
     def __init__(self, terms: Mapping[Tuple[GradeLike, GradeLike], int]):
-        self._fill(terms)
-
-    def _fill(self, terms, unit=None) -> None:
-        self._store(None, terms.items(), _check_term, unit)
+        self._store(None, terms.items(), _check_term)
 
     terms = _GradedMap._view
     coefficient = _GradedMap._get

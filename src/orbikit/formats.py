@@ -25,10 +25,10 @@ is the sector's multiplicity: it is kept, not expanded, as the count of a
 (component, count) pair, and canonical output writes it back when it is
 above 1.  A coarse diamond repeated across sectors is read once and shared,
 as the count is; every sector is still checked in full.  The parser is
-strict: unknown fields, duplicate keys, non-UTF-8 input, overdeep nesting
-and overlong integers are errors.  Serialization is canonical (sectors
-sorted by order, exponents, label, never merged; entries sorted by p, q),
-so output re-parses and re-serializes to identical bytes.
+strict: unknown fields, duplicate keys, non-UTF-8 input or strings,
+overdeep nesting and overlong integers are errors.  Serialization is
+canonical (sectors sorted by order, exponents, label, never merged; entries
+sorted by p, q), so output re-parses and re-serializes to identical bytes.
 """
 
 from __future__ import annotations
@@ -70,6 +70,8 @@ def _require_int(value: Any, where: str) -> int:
 def _require_str(value: Any, where: str) -> str:
     if not isinstance(value, str):
         raise ParseError(f"{where}: expected a string, got {value!r}")
+    if not value.isascii() and any("\ud800" <= ch <= "\udfff" for ch in value):  # a JSON \u escape allows these
+        raise ParseError(f"{where}: not UTF-8 text (a lone surrogate in {value!r})")
     return value
 
 

@@ -181,7 +181,7 @@ def shifted_sum(presentation: OrbifoldPresentation) -> tuple[int, dict[tuple[int
     (a, c) -> sum of h^{p',q'} times the count, where (a/level, c/level) =
     (p' + age, q' + age).  The coarse diamonds are integer graded, so their
     lattice keys are the grades themselves.  Raises OutOfRangeError if a
-    shifted grade leaves [0, n].
+    shifted grade leaves [0, n]: the one range check of assembled grades.
     """
     n = presentation.dim_n
     level = math.lcm(*(c.order_l for c, _ in presentation.sectors))
@@ -207,7 +207,7 @@ def assemble_diamond(p: OrbifoldPresentation) -> HodgeDiamond:
     by adding each coarse entry (p', q') times the sector's count at
     (p' + a, q' + a).  The level of the result is the lcm of the sector
     orders; the shifted grades are summed as integers on (1/level)Z
-    (`shifted_sum`) and handed to the diamond as such.
+    (`shifted_sum`), which the diamond stores without checking them again.
 
     Raises OutOfRangeError if a shifted grade leaves [0, n].  Data passing
     component validation can never trigger this (the shift is strictly
@@ -215,7 +215,7 @@ def assemble_diamond(p: OrbifoldPresentation) -> HodgeDiamond:
     a sector swapped with its inverse by hand-edited exponents.
     """
     level, acc = shifted_sum(p)
-    return HodgeDiamond._from_lattice(level, p.dim_n, acc, level)
+    return HodgeDiamond._from_lattice(p.dim_n, level, acc)
 
 
 def extract_h0q(p: OrbifoldPresentation, q: int) -> int:
@@ -242,6 +242,6 @@ def stringy_e(presentation: OrbifoldPresentation) -> StringyPolynomial:
     with Batyrev's stringy invariant.
     """
     level, acc = shifted_sum(presentation)
-    return StringyPolynomial._from_lattice(level, {
+    return StringyPolynomial._from_lattice(None, level, {
         (a, c): -h if (a - c) // level % 2 else h for (a, c), h in acc.items()
     })

@@ -232,6 +232,28 @@ class TestExitCodes:
             assert (code, out) == (3, ""), argv
             assert err.count("\n") == 1 and err.startswith("error: ValidationError: ") and message in err, argv
 
+    #: name -> (command, file object, field): a JSON \u escape of a lone surrogate, which UTF-8 cannot encode.
+    SURROGATE_FILES = {
+        "orbifold_name": ("diamond", {"name": "bad\ud800name", "dim": 0, "sectors": [
+            {"order": 1, "exponents": [], "diamond": [{"p": 0, "q": 0, "h": 1}]}]}, "name"),
+        "generator_name": ("diamond", {"family": "kummer", "params": {"torus_dim_n": 2}, "name": "bad\ud800name"}, "name"),
+        "sector_label": ("diamond", {"name": "a", "dim": 0, "sectors": [
+            {"order": 1, "exponents": [], "diamond": [{"p": 0, "q": 0, "h": 1}], "label": "\udfffx"}]}, "sectors[0].label"),
+        "diamond_file_name": ("partners", {"name": "bad\ud800name", "dim": 0, "entries": [{"p": 0, "q": 0, "h": 1}]}, "name"),
+    }
+
+    @pytest.mark.parametrize("name", SURROGATE_FILES)
+    def test_lone_surrogate_in_a_string_is_two(self, tmp_path, name):
+        command, doc, field = self.SURROGATE_FILES[name]
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc), encoding="ascii")
+        assert "\\ud" in path.read_text(encoding="ascii")
+        inputs = [str(path)] * (2 if command == "partners" else 1)
+        for fmt in RENDERERS if command == "diamond" else ("text", "json"):
+            code, out, err = run_cli(command, *inputs, "--format", fmt)
+            assert (code, out) == (2, ""), fmt
+            assert err.count("\n") == 1 and err.startswith(f"error: ParseError: {field}: not UTF-8 text"), fmt
+
     def test_directory_path_is_two(self, tmp_path):
         code, _, err = run_cli("diamond", str(tmp_path))
         assert code == 2 and err == f"error: ParseError: {tmp_path}: not a regular file\n"

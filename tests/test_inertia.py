@@ -15,6 +15,7 @@ from orbikit import (
     OutOfRangeError,
     ProjectiveQuotientSpec,
     PseudoReflectionError,
+    StringyPolynomial,
     ValidationError,
     assemble_diamond,
     build_kummer,
@@ -326,6 +327,12 @@ class TestFractionReference:
         assert dict(e.items()) == terms and list(e.keys()) == sorted(terms)
         # The stringy sign (-1)^{p'+q'} is (-1)^{p-q} of the shifted key.
         assert list(e.items()) == [((pp, qq), (-1) ** int(pp - qq) * h) for (pp, qq), h in d.items()]
+        # The unchecked lattice way in gives what the checked public constructors give.
+        checked_d = HodgeDiamond(p.dim_n, dict(d.items()), level=d.level)
+        for made, checked in [(d, checked_d), (e, StringyPolynomial(dict(e.items())))]:
+            assert made == checked and hash(made) == hash(checked)
+            assert made.lattice() == checked.lattice() and repr(made) == repr(checked)
+        assert d.level == checked_d.level
 
     def test_random_presentations_repeated_and_paired(self, rng):
         gorenstein = []

@@ -3,12 +3,14 @@ reference, and a guard that the pipeline hashes no Fraction."""
 
 import json
 import math
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbikit import (
+    ColumnVector,
     HodgeDiamond,
     NonGorensteinOrbifoldError,
     ProjectiveQuotientSpec,
@@ -22,7 +24,9 @@ from orbikit import (
     columns,
     format_grade,
     mckay_compare,
+    reconstruct_gorenstein,
     stringy_e,
+    torus_invariant_diamond,
 )
 from orbikit.cli import render_diamond
 from orbikit.formats import dumps, grade_to_json, loads, presentation_from_obj, presentation_to_obj
@@ -49,6 +53,7 @@ INVALID = [
     (lambda: HodgeDiamond(2, {("0.5", "0.5"): 1}), GRADE_ERROR.format("'0.5'")),
     (lambda: HodgeDiamond(2, {("2/4", "1/2"): 1}), GRADE_ERROR.format("'2/4'")),
     (lambda: HodgeDiamond(2, {(0, 0.5): 1}), GRADE_ERROR.format("0.5")),
+    (lambda: HodgeDiamond(2, {(True, 0): 1}), GRADE_ERROR.format("True")),
     # The first bad entry among several, and the order of the checks within one entry.
     (lambda: HodgeDiamond(2, [((0, 0), 1), ((1, 1), -1), (("x", "x"), 1)]), "negative dimension h^{1,1} = -1"),
     (lambda: HodgeDiamond(2, [((0, 0), 1), (("x", "x"), 1), ((1, 1), -1)]), GRADE_ERROR.format("'x'")),
@@ -169,6 +174,39 @@ def test_lattice_is_canonical():
     assert d.lattice() == (2, {(1, 1): 1, (2, 2): 2}) and d.level == 12
     assert HodgeDiamond(2, {(1, 1): 1}, level=6).lattice() == (1, {(1, 1): 1})
     assert HodgeDiamond(2, {}).lattice() == (1, {}) and HodgeDiamond(2, {}).is_integer_graded()
+
+
+# -- integer keys stay integers --------------------------------------------
+
+INT_KEYED = {
+    "projective_space": lambda: HodgeDiamond.projective_space(3),
+    "torus_invariant": lambda: torus_invariant_diamond(3),
+    "quintic": lambda: reconstruct_gorenstein(ColumnVector(3, {3: 1, -3: 1, 1: 101, -1: 101, 0: 4}), h01=0),
+    "k3": lambda: reconstruct_gorenstein(ColumnVector(2, {2: 1, -2: 1, 0: 22})),
+}
+
+
+def test_integer_keys_are_not_parsed_as_grades(monkeypatch):
+    unpatched = {name: build() for name, build in INT_KEYED.items()}
+
+    def refuse(value):
+        raise AssertionError(f"as_grade({value!r}) called for an integer key")
+
+    monkeypatch.setattr("orbikit.diamond.as_grade", refuse)
+    for name, build in INT_KEYED.items():
+        d = build()
+        assert d == unpatched[name] and d.lattice() == unpatched[name].lattice(), name
+        assert repr(d) == repr(unpatched[name]) and d.level == unpatched[name].level, name
+
+
+def test_int_subclass_keys_are_stored_as_plain_ints():
+    class Degree(IntEnum):
+        ONE = 1
+        TWO = 2
+
+    d = HodgeDiamond(2, {(Degree.ONE, Degree.ONE): 3, (Degree.TWO, 0): 1})
+    assert d == HodgeDiamond(2, {(1, 1): 3, (2, 0): 1}) and d.lattice()[0] == 1
+    assert all(type(x) is int for key in d.lattice()[1] for x in key)
 
 
 # -- no Fraction hashing between assembly and rendering --------------------
