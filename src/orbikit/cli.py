@@ -44,7 +44,7 @@ def _grid(d: HodgeDiamond, corner: str) -> list[list[str]]:
     cells = (d.dim_n + 1 + len(fractional)) ** 2
     check_budget(cells, f"a dense grid of {cells} cells exceeds the limit {MAX_GROUP_ORDER}; use --format json or csv")
     axis = sorted(fractional.union(range(0, d.dim_n * unit + 1, unit)))
-    text = {x: format_grade(Fraction(x, unit)) for x in axis}
+    text = d.grade_text(axis)
     rows = [[corner] + [text[a] for a in axis]]
     for c in reversed(axis):
         rows.append([text[c]] + [str(m.get((a, c), 0)) for a in axis])
@@ -59,7 +59,7 @@ def render_table(name: str, d: HodgeDiamond) -> str:
 
 
 def render_csv(d: HodgeDiamond) -> str:
-    text = d.grades(format_grade)
+    text = d.grade_text()
     return "\n".join(["p,q,h"] + [f"{text[a]},{text[c]},{h}" for (a, c), h in d.lattice()[1].items()])
 
 

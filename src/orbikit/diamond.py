@@ -184,7 +184,7 @@ class _GradedMap(_SparseMap):
     the checks of `_store`, `inertia` through `_from_lattice`, unchecked.
     Grades become `Fraction`s only at the public edge (`items`, `keys`,
     `entries`, `terms`), one per distinct numerator; `lattice` hands the
-    integers to the rest of the package.
+    integers to the rest of the package, and `grade_text` writes them.
     """
 
     __slots__ = ("_level",)  # a HodgeDiamond's `level`, also kept by `_from_lattice` for a StringyPolynomial
@@ -206,28 +206,32 @@ class _GradedMap(_SparseMap):
 
     @classmethod
     def _from_lattice(cls, dim_n: int | None, unit: int, acc: Mapping[tuple[int, int], int]):
-        """`cls` from `inertia.shifted_sum`'s (level, acc) by the core alone, checking nothing.
+        """`cls` from a map on (1/unit)Z that `inertia` summed, by the core alone, checking nothing.
 
-        Precondition, proved by `shifted_sum`: keys lie in [0, dim_n * unit]^2 with unit dividing a - c, and
-        values are positive sums of h times counts, signed by (-1)^{p-q} for stringy terms (never cancelling).
+        Precondition, proved by `inertia.assemble_diamond`: keys lie in [0, dim_n * unit]^2 with unit dividing
+        a - c, and values are positive sums of h times counts, signed by (-1)^{p-q} for stringy terms.
         """
         made = cls.__new__(cls)
         made._on_lattice(dim_n, unit, acc)
-        made._level = unit  # the lcm of the sector orders, a multiple of the reduced unit
+        made._level = unit  # for an assembled diamond the lcm of the sector orders, a multiple of the reduced unit
         return made
 
     def lattice(self) -> tuple[int, Mapping[tuple[int, int], int]]:
         """(unit, read-only map (a, c) -> value): the stored keys as integers on (1/unit)Z."""
         return self._unit, MappingProxyType(self._map)
 
-    def grades(self, convert=lambda g: g) -> dict[int, object]:
-        """`convert(Fraction(x, unit))` for each distinct coordinate x of a stored key, made once each."""
-        unit = self._unit
-        return {x: convert(Fraction(x, unit)) for x in {x for key in self._map for x in key}}
+    def grade_text(self, coords: Iterable[int] | None = None, quote: str = "", whole=str) -> dict[int, object]:
+        """`format_grade(Fraction(x, unit))` for each distinct stored coordinate x, or each of `coords`, by one gcd
+        and no Fraction; a fractional grade is wrapped in `quote`, an integral one is `whole` of its integer."""
+        unit, text = self._unit, {}
+        for x in {x for key in self._map for x in key} if coords is None else coords:
+            g = math.gcd(x, unit)
+            text[x] = whole(x // g) if g == unit else f"{quote}{x // g}/{unit // g}{quote}"
+        return text
 
     def items(self) -> list[tuple[GradeKey, int]]:
-        """The stored (key, value) pairs in key order, each grade an exact Fraction."""
-        g = self.grades()
+        """The stored (key, value) pairs in key order, each grade an exact Fraction, made once per coordinate."""
+        g = {x: Fraction(x, self._unit) for x in {x for key in self._map for x in key}}
         return [((g[a], g[c]), v) for (a, c), v in self._map.items()]
 
     def keys(self) -> list[GradeKey]:

@@ -108,7 +108,7 @@ def _entries_from_json(raw: Any, where: str) -> tuple[list[tuple[tuple[Fraction,
 
 
 def _entries_to_json(d: HodgeDiamond) -> list[dict]:
-    grade = d.grades(grade_to_json)
+    grade = d.grade_text(whole=int)
     return [{"p": grade[a], "q": grade[c], "h": h} for (a, c), h in d.lattice()[1].items()]
 
 
@@ -220,7 +220,7 @@ def _diamond_json(name: str, d: HodgeDiamond) -> str:
 
     `json` drops to its pure-Python encoder under `indent`, so the layout is written here.
     """
-    grade = d.grades(lambda g: json.dumps(grade_to_json(g)))
+    grade = d.grade_text(quote='"')
     entries = ",\n".join(
         f'    {{\n      "p": {grade[a]},\n      "q": {grade[c]},\n      "h": {h}\n    }}'
         for (a, c), h in d.lattice()[1].items()

@@ -20,11 +20,11 @@ the standard Chen-Ruan age; it is pinned down operationally by two checks
 in the test suite: assembled diamonds satisfy Serre duality, and the
 Kummer surface assembles to the K3 diamond (h^{1,1} = 4 + 16 = 20).
 
-The orbifold Hodge numbers are assembled by shifting every coarse entry
-h^{p',q'}(Z) to (p' + age, q' + age) and summing over sectors; ages are
-integers for every sector exactly when the underlying quotient
-singularities are Gorenstein, and fractional bidegrees appear otherwise.
-The stringy E-polynomial is the same sum signed by (-1)^{p-q}.
+The orbifold Hodge numbers are assembled once per presentation, which
+keeps the diamond: every coarse entry h^{p',q'}(Z) is shifted to
+(p' + age, q' + age) and the sectors are summed.  The stringy E-polynomial
+is that diamond signed by (-1)^{p-q}.  The ages are all integers exactly
+when the quotient singularities are Gorenstein; else grades are fractional.
 """
 
 from __future__ import annotations
@@ -107,15 +107,16 @@ class OrbifoldPresentation:
     `sectors` holds (component, count) pairs: `count` isomorphic copies of
     one component, stored once and never expanded.  The constructor takes
     components (count 1) or pairs, kept as given in input order; equality
-    and hashing compare the merged multisets, computed once on first use.
-    The untwisted counts add up to exactly one, and every component's
-    exponent list has length equal to the ambient dimension.
+    and hashing compare the merged multisets, computed once on first use,
+    and `assemble_diamond` keeps its diamond the same way.  The untwisted
+    counts add up to exactly one, and every exponent list has length `dim_n`.
     """
 
     dim_n: int
     sectors: tuple[tuple[InertiaComponent, int], ...]
     name: str = ""
     _multiset: frozenset | None = field(default=None, init=False)
+    _diamond: HodgeDiamond | None = field(default=None, init=False)
 
     def __post_init__(self):
         check_dim(self.dim_n)
@@ -174,48 +175,42 @@ def is_gorenstein(p: OrbifoldPresentation) -> bool:
     return all(sum(c.exponents) % c.order_l == 0 for c, _ in p.sectors)
 
 
-def shifted_sum(presentation: OrbifoldPresentation) -> tuple[int, dict[tuple[int, int], int]]:
-    """Sum every sector's coarse entries, age-shifted, on the lattice (1/level)Z.
-
-    Returns the level (lcm of the sector orders) and the map
-    (a, c) -> sum of h^{p',q'} times the count, where (a/level, c/level) =
-    (p' + age, q' + age).  The coarse diamonds are integer graded, so their
-    lattice keys are the grades themselves.  Raises OutOfRangeError if a
-    shifted grade leaves [0, n]: the one range check of assembled grades.
-    """
-    n = presentation.dim_n
-    level = math.lcm(*(c.order_l for c, _ in presentation.sectors))
-    top = n * level
-    acc: dict[tuple[int, int], int] = {}
-    for c, count in presentation.sectors:
-        shift = sum(c.exponents) * (level // c.order_l)
-        for (p, q), h in c.coarse_diamond.lattice()[1].items():
-            kp, kq = p * level + shift, q * level + shift
-            if not (0 <= kp <= top and 0 <= kq <= top):
-                raise OutOfRangeError(
-                    f"sector {c.label!r} shifts ({p},{q}) to "
-                    f"{_format_key((Fraction(kp, level), Fraction(kq, level)))} outside [0, {n}]"
-                )
-            acc[(kp, kq)] = acc.get((kp, kq), 0) + h * count
-    return level, acc
-
-
 def assemble_diamond(p: OrbifoldPresentation) -> HodgeDiamond:
     """Orbifold Hodge diamond: coarse entries of all sectors, age-shifted.
 
     h^{p,q}_orb = sum over sectors Z of h^{p - a(Z), q - a(Z)}(Z), realized
     by adding each coarse entry (p', q') times the sector's count at
     (p' + a, q' + a).  The level of the result is the lcm of the sector
-    orders; the shifted grades are summed as integers on (1/level)Z
-    (`shifted_sum`), which the diamond stores without checking them again.
+    orders; the shifted grades of the integer-graded coarse diamonds are
+    summed as integers on (1/level)Z, which the diamond stores unchecked.
+    A presentation keeps its diamond: later calls return that one object.
 
-    Raises OutOfRangeError if a shifted grade leaves [0, n].  Data passing
-    component validation can never trigger this (the shift is strictly
-    smaller than the codimension), so it signals inconsistent input, e.g.
-    a sector swapped with its inverse by hand-edited exponents.
+    Raises OutOfRangeError if a shifted grade leaves [0, n], the one range
+    check of assembled grades.  Valid components never trigger this (the
+    shift is strictly smaller than the codimension), so it signals
+    inconsistent input, e.g. a sector swapped with its inverse by
+    hand-edited exponents.
     """
-    level, acc = shifted_sum(p)
-    return HodgeDiamond._from_lattice(p.dim_n, level, acc)
+    if (made := getattr(p, "_diamond", None)) is not None:  # a duck-typed stand-in has no slot, keeps nothing
+        return made
+    n = p.dim_n
+    level = math.lcm(*(c.order_l for c, _ in p.sectors))
+    top = n * level
+    acc: dict[tuple[int, int], int] = {}
+    for c, count in p.sectors:
+        shift = sum(c.exponents) * (level // c.order_l)
+        for (i, j), h in c.coarse_diamond.lattice()[1].items():
+            kp, kq = i * level + shift, j * level + shift
+            if not (0 <= kp <= top and 0 <= kq <= top):
+                raise OutOfRangeError(
+                    f"sector {c.label!r} shifts ({i},{j}) to "
+                    f"{_format_key((Fraction(kp, level), Fraction(kq, level)))} outside [0, {n}]"
+                )
+            acc[(kp, kq)] = acc.get((kp, kq), 0) + h * count
+    made = HodgeDiamond._from_lattice(n, level, acc)
+    if isinstance(p, OrbifoldPresentation):
+        object.__setattr__(p, "_diamond", made)
+    return made
 
 
 def extract_h0q(p: OrbifoldPresentation, q: int) -> int:
@@ -237,11 +232,11 @@ def stringy_e(presentation: OrbifoldPresentation) -> StringyPolynomial:
     contributes (-1)^{p'+q'} h^{p',q'} at (p'+a, q'+a), once per copy.
     Since p - q = p' - q' has the parity of p' + q', that sign is (-1)^{p-q}
     (an integer power even at fractional grades), so no two contributions
-    to one key cancel: the result is the `shifted_sum` diamond signed by
-    (-1)^{p-q}.  For Gorenstein quotient singularities the result agrees
-    with Batyrev's stringy invariant.
+    to one key cancel: the result is the kept `assemble_diamond` of the
+    presentation signed by (-1)^{p-q}, with no second walk over sectors.
+    For Gorenstein quotient singularities it equals Batyrev's invariant.
     """
-    level, acc = shifted_sum(presentation)
-    return StringyPolynomial._from_lattice(None, level, {
-        (a, c): -h if (a - c) // level % 2 else h for (a, c), h in acc.items()
+    unit, m = assemble_diamond(presentation).lattice()
+    return StringyPolynomial._from_lattice(None, unit, {
+        (a, c): -h if (a - c) // unit % 2 else h for (a, c), h in m.items()
     })

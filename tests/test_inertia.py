@@ -142,18 +142,23 @@ class TestPresentationValueSemantics:
     def test_copy_and_pickle_round_trips(self, rng):
         for p in (build_kummer(3), random_presentation(rng)):
             hash(p)  # fill the multiset cache first
+            d = assemble_diamond(p)  # and the kept diamond
             for q in (copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
                 assert q == p and hash(q) == hash(p) and q.sectors == p.sectors
+                assert assemble_diamond(q) == d and assemble_diamond(q).level == d.level
 
     def test_replace_starts_a_fresh_multiset(self):
         a = InertiaComponent(2, (1, 1), POINT, label="a")
         p = OrbifoldPresentation(2, [untwisted(2), (a, 3)], name="x")
         hash(p)
+        d = assemble_diamond(p)
         renamed = dataclasses.replace(p, name="y")
-        assert renamed._multiset is None
+        assert renamed._multiset is None and renamed._diamond is None
         assert renamed == OrbifoldPresentation(2, [untwisted(2), (a, 3)], name="y") != p
+        assert assemble_diamond(renamed) == d and assemble_diamond(renamed) is not d
         fewer = dataclasses.replace(p, sectors=[untwisted(2), (a, 2)])
         assert fewer == OrbifoldPresentation(2, [untwisted(2), a, a], name="x") != p
+        assert fewer._diamond is None and assemble_diamond(fewer).total() == d.total() - 1
         with pytest.raises(ValidationError):
             dataclasses.replace(p, dim_n=3)
 
@@ -359,6 +364,79 @@ class TestFractionReference:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_kummer(self, n):
         self.assert_matches_reference(build_kummer(n))
+
+
+QUOTIENT_13 = ProjectiveQuotientSpec(2, (13,), ((0, 1, 5),))
+
+
+class TestAssembledOnce:
+    """A presentation keeps its assembled diamond; `stringy_e` signs it."""
+
+    @staticmethod
+    def count_sector_walks(monkeypatch, p):
+        """A list whose length is the number of coarse `lattice()` reads of `p`'s sectors."""
+        coarse = {id(c.coarse_diamond) for c, _ in p.sectors}
+        reads = []
+        original = HodgeDiamond.lattice
+
+        def counting(self):
+            if id(self) in coarse:
+                reads.append(self)
+            return original(self)
+
+        monkeypatch.setattr(HodgeDiamond, "lattice", counting)
+        return reads
+
+    def test_every_call_returns_one_object(self, rng):
+        for p in (build_kummer(3), random_presentation(rng), build_projective_quotient(QUOTIENT_13)):
+            assert assemble_diamond(p) is assemble_diamond(p)
+
+    @pytest.mark.parametrize("stringy_first", [False, True])
+    def test_sectors_are_walked_once(self, monkeypatch, stringy_first):
+        p = build_projective_quotient(QUOTIENT_13)
+        reads = self.count_sector_walks(monkeypatch, p)
+        first, second = (stringy_e, assemble_diamond) if stringy_first else (assemble_diamond, stringy_e)
+        for call in (first, second, assemble_diamond):
+            call(p)
+        assert len(reads) == len(p.sectors)
+
+    @pytest.mark.parametrize("stringy_first", [False, True])
+    def test_stringy_e_equals_its_public_rebuild(self, stringy_first):
+        for make in (lambda: build_kummer(3), lambda: build_projective_quotient(QUOTIENT_13)):
+            p = make()
+            e = stringy_e(p) if stringy_first else None
+            d = assemble_diamond(p)
+            e = e if stringy_first else stringy_e(p)
+            signed = {(pp, qq): -h if (pp - qq) % 2 else h for (pp, qq), h in assemble_diamond(make()).items()}
+            rebuilt = StringyPolynomial(signed)
+            assert e == rebuilt and hash(e) == hash(rebuilt)
+            assert e.lattice() == rebuilt.lattice() and repr(e) == repr(rebuilt)
+            assert dict(e.items()) == reference_assembly(p)[2] and d is assemble_diamond(p)
+
+    def test_failed_assembly_keeps_nothing(self):
+        # A rogue sector slipped past validation, as in test_out_of_range_shift_rejected, inside a real presentation.
+        rogue = InertiaComponent(4, (1, 3), POINT, label="rogue")
+        object.__setattr__(rogue, "exponents", (3, 3))
+        object.__setattr__(rogue, "coarse_diamond", HodgeDiamond(1, {(1, 1): 1}))
+        p = OrbifoldPresentation(2, [untwisted(2), rogue])
+        for _ in range(2):
+            with pytest.raises(OutOfRangeError, match=r"'rogue' shifts \(1,1\) to \(5/2,5/2\)"):
+                assemble_diamond(p)
+            assert p._diamond is None
+        with pytest.raises(OutOfRangeError):
+            stringy_e(p)
+
+    def test_equality_and_hash_ignore_the_kept_diamond(self):
+        pair = (InertiaComponent(2, (1, 1), POINT), 3)
+        for make in (lambda: build_kummer(3), lambda: OrbifoldPresentation(2, [untwisted(2), pair], name="x")):
+            a, b = make(), make()
+            ha, hb = hash(a), hash(b)
+            assemble_diamond(a)
+            assert a == b and b == a and hash(a) == ha == hb == hash(b)
+            assemble_diamond(b)
+            assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
+            fresh = make()
+            assert fresh == a and hash(fresh) == hash(a) and fresh._diamond is None
 
 
 class TestExtractH0q:

@@ -29,7 +29,8 @@ from orbikit import (
     torus_invariant_diamond,
 )
 from orbikit.cli import render_diamond
-from orbikit.formats import dumps, grade_to_json, loads, presentation_from_obj, presentation_to_obj
+from orbikit.formats import diamond_to_obj, dumps, grade_to_json, loads, presentation_from_obj, presentation_to_obj
+from orbikit.quotient import MAX_GROUP_ORDER
 
 F = Fraction
 
@@ -120,6 +121,40 @@ def reference_json(n: int, ref: dict) -> str:
     return json.dumps({"name": "x", "dim": n, "entries": entries}, indent=2, ensure_ascii=True)
 
 
+def reference_axis(n: int, ref: dict) -> list[Fraction]:
+    """[0, n] and every stored grade, in order: each axis of the dense grid."""
+    return sorted({F(i) for i in range(n + 1)} | {g for key in ref for g in key})
+
+
+def reference_grid(n: int, ref: dict, corner: str) -> list[list[str]]:
+    """The dense grid with q from the top."""
+    axis = reference_axis(n, ref)
+    rows = [[corner] + [format_grade(p) for p in axis]]
+    return rows + [[format_grade(q)] + [str(ref.get((p, q), 0)) for p in axis] for q in reversed(axis)]
+
+
+def reference_table(n: int, level: int, ref: dict) -> str:
+    rows = reference_grid(n, ref, r"q\p")
+    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
+    body = ["  ".join(c.rjust(w) for c, w in zip(row, widths)) for row in rows]
+    return "\n".join([f"x  (dim {n}, level {level})", *body])
+
+
+def reference_tex(n: int, ref: dict) -> str:
+    head, *body = [" & ".join(f"${c}$" for c in row) + r" \\" for row in reference_grid(n, ref, r"q \backslash p")]
+    return "\n".join([r"\begin{tabular}{r|" + "c" * len(body) + "}", head, r"\hline", *body, r"\end{tabular}"])
+
+
+def assert_text_matches_reference(d: HodgeDiamond, ref: dict) -> None:
+    """Every text output of `d` byte for byte against `format_grade` of plain Fractions; the grid within the budget."""
+    n = d.dim_n
+    assert render_diamond("x", d, "csv") == reference_csv(ref)
+    assert render_diamond("x", d, "json") == dumps(diamond_to_obj("x", d)) == reference_json(n, ref)
+    if len(reference_axis(n, ref)) ** 2 <= MAX_GROUP_ORDER:
+        assert render_diamond("x", d, "table") == reference_table(n, d.level, ref)
+        assert render_diamond("x", d, "tex") == reference_tex(n, ref)
+
+
 @settings(max_examples=150, deadline=None)
 @given(raw_diamonds(), st.integers(1, 12), st.integers(1, 12), st.integers(0, 40))
 def test_diamond_matches_plain_fraction_reference(raw, scale, den, num):
@@ -145,8 +180,32 @@ def test_diamond_matches_plain_fraction_reference(raw, scale, den, num):
     sym = check_symmetries(d)
     assert sym.serre == all(ref.get((n - p, n - q)) == h for (p, q), h in ref.items())
     assert sym.hodge == all(ref.get((q, p)) == h for (p, q), h in ref.items())
-    assert render_diamond("x", d, "csv") == reference_csv(ref)
-    assert render_diamond("x", d, "json") == reference_json(n, ref)
+    assert_text_matches_reference(d, ref)
+
+
+P2_MOD_2003 = ProjectiveQuotientSpec(2, (2003,), ((0, 1, 5),))  # unit 2003, about 3 000 entries
+
+GRADE_TEXT_CASES = {
+    "p2_mod_2003": lambda: assemble_diamond(build_projective_quotient(P2_MOD_2003)),
+    "unit_1": lambda: HodgeDiamond.projective_space(3),
+    "ends_0_and_n_unit": lambda: HodgeDiamond(2, {(0, 0): 1, ("1/3", "1/3"): 2, ("5/3", "2/3"): 1, (2, 2): 1}),
+    "empty": lambda: HodgeDiamond(1, {}),
+}
+
+
+@pytest.mark.parametrize("name", GRADE_TEXT_CASES)
+def test_grade_text_matches_plain_fraction_reference(name):
+    d = GRADE_TEXT_CASES[name]()
+    unit, m = d.lattice()
+    ref = dict(d.items())
+    assert_text_matches_reference(d, ref)
+    coords = {x for key in m for x in key}
+    assert {0, d.dim_n * unit} <= coords or not m
+    assert d.grade_text() == {x: format_grade(F(x, unit)) for x in coords}
+    assert d.grade_text(quote='"') == {x: json.dumps(grade_to_json(F(x, unit))) for x in coords}
+    assert d.grade_text(whole=int) == {x: grade_to_json(F(x, unit)) for x in coords}
+    if name == "p2_mod_2003":
+        assert unit == 2003 and len(m) > 3000 and len(reference_axis(2, ref)) ** 2 > MAX_GROUP_ORDER
 
 
 @settings(max_examples=100, deadline=None)
