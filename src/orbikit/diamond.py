@@ -187,7 +187,7 @@ class _GradedMap(_SparseMap):
     integers to the rest of the package, and `grade_text` writes them.
     """
 
-    __slots__ = ("_level",)  # a HodgeDiamond's `level`, also kept by `_from_lattice` for a StringyPolynomial
+    __slots__ = ()
 
     def _on_lattice(self, dim_n: int | None, unit: int, acc: Mapping[tuple[int, int], int]) -> None:
         """The core: store the map (a, c) -> value on (1/unit)Z, zeros dropped and `unit` reduced by the gcd."""
@@ -206,14 +206,13 @@ class _GradedMap(_SparseMap):
 
     @classmethod
     def _from_lattice(cls, dim_n: int | None, unit: int, acc: Mapping[tuple[int, int], int]):
-        """`cls` from a map on (1/unit)Z that `inertia` summed, by the core alone, checking nothing.
+        """`cls` from a map on (1/unit)Z that `inertia` summed, by the core alone: nothing checked, no `level` set.
 
         Precondition, proved by `inertia.assemble_diamond`: keys lie in [0, dim_n * unit]^2 with unit dividing
         a - c, and values are positive sums of h times counts, signed by (-1)^{p-q} for stringy terms.
         """
         made = cls.__new__(cls)
         made._on_lattice(dim_n, unit, acc)
-        made._level = unit  # for an assembled diamond the lcm of the sector orders, a multiple of the reduced unit
         return made
 
     def lattice(self) -> tuple[int, Mapping[tuple[int, int], int]]:
@@ -269,7 +268,7 @@ class HodgeDiamond(_GradedMap):
     immutable.
     """
 
-    __slots__ = ()
+    __slots__ = ("_level",)
 
     def __init__(
         self,

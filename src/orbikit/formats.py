@@ -20,15 +20,18 @@ Two document kinds, both a single top-level JSON object:
       {"name": "...", "dim": 2, "entries": [{"p": 0, "q": 0, "h": 1}, ...]}
 
 Grades are JSON integers or exact strings "a/b" in lowest terms, never
-decimals; `as_grade` is the one parser.  The optional sector field "count"
-is the sector's multiplicity: it is kept, not expanded, as the count of a
-(component, count) pair, and canonical output writes it back when it is
-above 1.  A coarse diamond repeated across sectors is read once and shared,
-as the count is; every sector is still checked in full.  The parser is
-strict: unknown fields, duplicate keys, non-UTF-8 input or strings,
-overdeep nesting and overlong integers are errors.  Serialization is
-canonical (sectors sorted by order, exponents, label, never merged; entries
-sorted by p, q), so output re-parses and re-serializes to identical bytes.
+decimals; `as_grade` is the one parser.  An integer grade is read as it is,
+and each distinct string is parsed once per entry list.  The optional sector
+field "count" is the sector's multiplicity: it is kept, not expanded, as the
+count of a (component, count) pair, and canonical output writes it back when
+it is above 1.  A coarse diamond repeated across sectors is read once and
+shared, as the count is; every sector is still checked in full.  The parser
+is strict: unknown fields, duplicate keys, non-UTF-8 input or strings,
+overdeep nesting and overlong integers are errors.  A field that fails a
+plain type test goes to the helper that names it, so strictness, messages
+and exit codes do not depend on the fast path.  Serialization is canonical
+(sectors sorted by order, exponents, label, never merged; entries sorted by
+p, q), so output re-parses and re-serializes to identical bytes.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from collections import Counter
 from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from .diamond import Grade, HodgeDiamond, _format_key, as_grade, format_grade, is_int
 from .errors import ParseError, ValidationError
@@ -46,6 +49,9 @@ from .inertia import InertiaComponent, OrbifoldPresentation
 from .quotient import GENERATORS
 
 _EXPONENTS = tuple[int, ...]  # a sector's exponents as a `_from_json_shape` shape, built once, not per sector
+_SECTOR_REQUIRED = {"order", "exponents", "diamond"}
+_SECTOR_FIELDS = _SECTOR_REQUIRED | {"count", "label"}
+_ENTRY_FIELDS = {"p", "q", "h"}
 
 
 def grade_to_json(g: Grade) -> int | str:
@@ -87,22 +93,37 @@ def _require_keys(obj: dict, required: set[str], optional: set[str], where: str)
         raise ParseError(f"{where}: unknown field(s) {sorted(unknown)}")
 
 
-def _entries_from_json(raw: Any, where: str) -> tuple[list[tuple[tuple[Fraction, Fraction], int]], tuple]:
-    """The checked entries, and their integer forms ((p, q) as numerators and denominators, h) in order."""
+def _grade(value: Any, memo: dict, where: Callable[[], str], k: int) -> tuple:
+    """A grade as (`HodgeDiamond` key, numerator, denominator): an int as itself, a string parsed once per `memo`."""
+    if type(value) is int:
+        return value, value, 1
+    if type(value) is not str or value not in memo:
+        g = grade_from_json(value, f"{where()}[{k}]")
+        memo[value] = g, g.numerator, g.denominator
+    return memo[value]
+
+
+def _entries_from_json(raw: Any, where: Callable[[], str]) -> tuple[list[tuple[tuple, int]], tuple]:
+    """The checked entries, and their integer forms ((p, q) as numerators and denominators, h) in order.
+
+    Plain type tests pass every valid entry; `where()`, the list's name, is built only for a message.
+    """
     if not isinstance(raw, list):
-        raise ParseError(f"{where}: expected a list of {{p, q, h}} objects")
+        raise ParseError(f"{where()}: expected a list of {{p, q, h}} objects")
     entries = []
     seen: dict[tuple[int, int, int, int], int] = {}  # integer forms of the keys: no Fraction is hashed
+    memo: dict[str, tuple] = {}  # each distinct grade string parsed once
     for k, item in enumerate(raw):
-        spot = f"{where}[{k}]"
-        _require_keys(item, {"p", "q", "h"}, set(), spot)
-        p = grade_from_json(item["p"], spot)
-        q = grade_from_json(item["q"], spot)
-        h = _require_int(item["h"], spot)
-        key = (p.numerator, p.denominator, q.numerator, q.denominator)
-        if key in seen:
-            raise ParseError(f"{spot}: duplicate entry at {_format_key((p, q))}")
-        seen[key] = h
+        if not (type(item) is dict and item.keys() == _ENTRY_FIELDS):
+            _require_keys(item, _ENTRY_FIELDS, set(), f"{where()}[{k}]")
+        p, pn, pd = _grade(item["p"], memo, where, k)
+        q, qn, qd = _grade(item["q"], memo, where, k)
+        h = item["h"]
+        if type(h) is not int:
+            _require_int(h, f"{where()}[{k}]")
+        if (pn, pd, qn, qd) in seen:
+            raise ParseError(f"{where()}[{k}]: duplicate entry at {_format_key((p, q))}")
+        seen[pn, pd, qn, qd] = h
         entries.append(((p, q), h))
     return entries, tuple(seen.items())
 
@@ -127,15 +148,20 @@ def presentation_from_obj(obj: Any) -> OrbifoldPresentation:
     sectors: list[tuple[InertiaComponent, int]] = []
     coarse: dict[tuple, HodgeDiamond] = {}  # (coarse dim, integer forms of the entries): built once
     for k, sector in enumerate(raw_sectors):
-        where = f"sectors[{k}]"
-        _require_keys(sector, {"order", "exponents", "diamond"}, {"count", "label"}, where)
-        order = _require_int(sector["order"], f"{where}.order")
-        exponents = _from_json_shape(sector["exponents"], _EXPONENTS, f"{where}.exponents")
-        entries, forms = _entries_from_json(sector["diamond"], f"{where}.diamond")
-        count = _require_int(sector.get("count", 1), f"{where}.count")
-        if count < 1:
-            raise ParseError(f"{where}.count: must be >= 1, got {count}")
-        label = _require_str(sector.get("label", ""), f"{where}.label")
+        # Plain type tests pass every valid sector; a failed one calls the helper that names it, in field order.
+        if not (type(sector) is dict and _SECTOR_REQUIRED <= sector.keys() <= _SECTOR_FIELDS):
+            _require_keys(sector, _SECTOR_REQUIRED, _SECTOR_FIELDS - _SECTOR_REQUIRED, f"sectors[{k}]")
+        order, exponents = sector["order"], sector["exponents"]
+        if type(order) is not int:
+            _require_int(order, f"sectors[{k}].order")
+        if not (type(exponents) is list and all(type(a) is int for a in exponents)):
+            exponents = _from_json_shape(exponents, _EXPONENTS, f"sectors[{k}].exponents")
+        entries, forms = _entries_from_json(sector["diamond"], lambda: f"sectors[{k}].diamond")
+        count, label = sector.get("count", 1), sector.get("label", "")
+        if (type(count) is not int or count < 1) and _require_int(count, f"sectors[{k}].count") < 1:
+            raise ParseError(f"sectors[{k}].count: must be >= 1, got {count}")
+        if not (type(label) is str and label.isascii()):
+            _require_str(label, f"sectors[{k}].label")
         key = (exponents.count(0), forms)
         if key not in coarse:
             coarse[key] = HodgeDiamond(key[0], entries)
@@ -169,14 +195,17 @@ def _presentation_from_generator(obj: dict) -> OrbifoldPresentation:
 
 
 def presentation_to_obj(p: OrbifoldPresentation) -> dict:
-    """Canonical orbifold file object: explicit sectors, canonically sorted."""
+    """Canonical orbifold file object: explicit sectors, canonically sorted.
+
+    Sectors sharing one coarse diamond share one entry list in the returned object, encoded once.
+    """
     sectors = []
+    encoded: dict[int, list[dict]] = {}  # id of a coarse diamond -> its entry list; p holds every one alive
     for c, count in sorted(p.sectors, key=lambda s: s[0].sort_key()):
-        sector: dict = {
-            "order": c.order_l,
-            "exponents": list(c.exponents),
-            "diamond": _entries_to_json(c.coarse_diamond),
-        }
+        d = c.coarse_diamond
+        if id(d) not in encoded:
+            encoded[id(d)] = _entries_to_json(d)
+        sector: dict = {"order": c.order_l, "exponents": list(c.exponents), "diamond": encoded[id(d)]}
         if count > 1:
             sector["count"] = count
         if c.label:
@@ -190,7 +219,7 @@ def diamond_from_obj(obj: Any) -> tuple[str, HodgeDiamond]:
     _require_keys(obj, {"name", "dim", "entries"}, set(), "diamond file")
     name = _require_str(obj["name"], "name")
     dim = _require_int(obj["dim"], "dim")
-    return name, HodgeDiamond(dim, _entries_from_json(obj["entries"], "entries")[0])
+    return name, HodgeDiamond(dim, _entries_from_json(obj["entries"], lambda: "entries")[0])
 
 
 def document_from_obj(obj: Any, source: str, diamond_files: bool = False) -> OrbifoldPresentation | tuple[str, HodgeDiamond]:

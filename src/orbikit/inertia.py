@@ -208,6 +208,7 @@ def assemble_diamond(p: OrbifoldPresentation) -> HodgeDiamond:
                 )
             acc[(kp, kq)] = acc.get((kp, kq), 0) + h * count
     made = HodgeDiamond._from_lattice(n, level, acc)
+    made._level = level  # the lcm of the sector orders, a multiple of the reduced unit
     if isinstance(p, OrbifoldPresentation):
         object.__setattr__(p, "_diamond", made)
     return made

@@ -5,6 +5,7 @@ import pytest
 
 from orbikit import (
     HodgeDiamond,
+    InertiaComponent,
     ParseError,
     ProjectiveQuotientSpec,
     PseudoReflectionError,
@@ -340,3 +341,129 @@ class TestSharedCoarseDiamonds:
         assert len(again.sectors) == len(obj["sectors"]) > distinct_max
         assert len({id(c.coarse_diamond) for c, _ in again.sectors}) <= distinct_max
         assert hochschild_via_sectors(again) == columns(assemble_diamond(again))
+
+    def test_sectors_sharing_a_coarse_diamond_share_one_written_entry_list(self):
+        p = build_projective_quotient(ProjectiveQuotientSpec(3, (101,), ((0, 1, 2, 12),)), name="p3_z101")
+        obj = presentation_to_obj(p)
+        shared = {id(c.coarse_diamond) for c, _ in p.sectors}
+        assert len({id(s["diamond"]) for s in obj["sectors"]}) == len(shared) < len(p.sectors)
+        for (c, _), s in zip(sorted(p.sectors, key=lambda s: s[0].sort_key()), obj["sectors"], strict=True):
+            assert s["diamond"] == diamond_to_obj("", c.coarse_diamond)["entries"]
+        assert presentation_from_obj(loads(dumps(obj))) == p
+
+
+ISOLATED = {"order": 3, "exponents": [2, 1], "diamond": POINT_ENTRIES, "count": 1, "label": "pt"}
+GRADE_ERROR = "not an exact rational grade: {} (use int, Fraction or 'a/b' in lowest terms)"
+
+
+def _last_sector(sector):
+    """`_two_twisted(POINT_ENTRIES)` with its last sector replaced by `sector`."""
+    obj = _two_twisted(POINT_ENTRIES)
+    obj["sectors"][2] = sector
+    return obj
+
+
+def _entry(**fields):
+    return [{**POINT_ENTRIES[0], **fields}]
+
+
+# One fault per field of a sector or an entry; every message is the one the checked reader gave before it
+# tested valid shapes first, and of two faults the field read first still wins.
+SECTOR_FAULTS = {
+    "order_float": ({**ISOLATED, "order": 3.0}, "sectors[2].order: expected an integer, got 3.0"),
+    "order_bool": ({**ISOLATED, "order": True}, "sectors[2].order: expected an integer, got True"),
+    "exponents_not_list": ({**ISOLATED, "exponents": 21}, "sectors[2].exponents: expected a list of integers"),
+    "exponent_float": ({**ISOLATED, "exponents": [2, 1.0]}, "sectors[2].exponents: expected an integer, got 1.0"),
+    "exponent_bool": ({**ISOLATED, "exponents": [2, True]}, "sectors[2].exponents: expected an integer, got True"),
+    "count_zero": ({**ISOLATED, "count": 0}, "sectors[2].count: must be >= 1, got 0"),
+    "count_true": ({**ISOLATED, "count": True}, "sectors[2].count: expected an integer, got True"),
+    "count_float": ({**ISOLATED, "count": 1.0}, "sectors[2].count: expected an integer, got 1.0"),
+    "label_int": ({**ISOLATED, "label": 7}, "sectors[2].label: expected a string, got 7"),
+    "label_surrogate": ({**ISOLATED, "label": "p\ud800t"}, "sectors[2].label: not UTF-8 text (a lone surrogate in 'p\\ud800t')"),
+    "unknown_key": ({**ISOLATED, "age": 1}, "sectors[2]: unknown field(s) ['age']"),
+    "missing_key": ({k: v for k, v in ISOLATED.items() if k != "exponents"}, "sectors[2]: missing field(s) ['exponents']"),
+    "sector_not_object": ([3, [2, 1]], "sectors[2]: expected an object, got list"),
+    "entry_not_object": ({**ISOLATED, "diamond": [[0, 0, 1]]}, "sectors[2].diamond[0]: expected an object, got list"),
+    "entry_without_h": ({**ISOLATED, "diamond": [{"p": 0, "q": 0}]}, "sectors[2].diamond[0]: missing field(s) ['h']"),
+    "grade_not_lowest": ({**ISOLATED, "diamond": _entry(p="2/4")}, "sectors[2].diamond[0]: " + GRADE_ERROR.format("'2/4'")),
+    "grade_space": ({**ISOLATED, "diamond": _entry(q=" 1")}, "sectors[2].diamond[0]: " + GRADE_ERROR.format("' 1'")),
+    "grade_float": ({**ISOLATED, "diamond": _entry(p=1.5)}, "sectors[2].diamond[0]: " + GRADE_ERROR.format("1.5")),
+    "duplicate_half": ({**ISOLATED, "diamond": [{"p": "1/2", "q": "1/2", "h": 1}] * 2},
+                       "sectors[2].diamond[1]: duplicate entry at (1/2,1/2)"),
+    "order_and_label": ({**ISOLATED, "order": 3.0, "label": 7}, "sectors[2].order: expected an integer, got 3.0"),
+    "diamond_before_count": ({**ISOLATED, "count": 0, "diamond": _entry(h=1.0)},
+                             "sectors[2].diamond[0]: expected an integer, got 1.0"),
+    "keys_before_exponents": ({**ISOLATED, "exponents": "21", "age": 1}, "sectors[2]: unknown field(s) ['age']"),
+}
+
+ENTRY_FAULTS = {
+    "entries_not_list": ({"p": 0}, "entries: expected a list of {p, q, h} objects"),
+    "entry_not_object": ([[0, 0, 1]], "entries[0]: expected an object, got list"),
+    "entry_without_h": ([{"p": 0, "q": 0}], "entries[0]: missing field(s) ['h']"),
+    "unknown_entry_key": ([{**POINT_ENTRIES[0], "r": 1}], "entries[0]: unknown field(s) ['r']"),
+    "h_bool": (_entry(h=True), "entries[0]: expected an integer, got True"),
+    "grade_not_lowest": (_entry(p="2/4"), "entries[0]: " + GRADE_ERROR.format("'2/4'")),
+    "grade_space": (_entry(q=" 1"), "entries[0]: " + GRADE_ERROR.format("' 1'")),
+    "grade_float": (_entry(p=1.5), "entries[0]: " + GRADE_ERROR.format("1.5")),
+    "grade_bool": (_entry(q=False), "entries[0]: " + GRADE_ERROR.format("False")),
+    "duplicate_half": ([{"p": "1/2", "q": "1/2", "h": 1}] * 2, "entries[1]: duplicate entry at (1/2,1/2)"),
+}
+
+
+class TestFieldFaults:
+    """Valid shapes pass plain type tests; each fault still raises its exact message, field by field."""
+
+    def test_the_unfaulted_sector_is_read(self):
+        p = presentation_from_obj(_last_sector(ISOLATED))
+        assert p.sectors[2] == (InertiaComponent(3, (2, 1), HodgeDiamond.point(), label="pt"), 1)
+
+    @pytest.mark.parametrize("sector,message", SECTOR_FAULTS.values(), ids=SECTOR_FAULTS.keys())
+    def test_a_sector_fault_is_named(self, sector, message):
+        with pytest.raises(ParseError) as exc:
+            presentation_from_obj(_last_sector(sector))
+        assert type(exc.value) is ParseError and str(exc.value) == message
+
+    @pytest.mark.parametrize("entries,message", ENTRY_FAULTS.values(), ids=ENTRY_FAULTS.keys())
+    def test_a_diamond_file_entry_fault_is_named(self, entries, message):
+        with pytest.raises(ParseError) as exc:
+            diamond_from_obj({"name": "d", "dim": 1, "entries": entries})
+        assert type(exc.value) is ParseError and str(exc.value) == message
+
+    def test_a_half_grade_reaches_the_diamond_check(self):
+        with pytest.raises(ValidationError) as exc:
+            presentation_from_obj(_last_sector({**ISOLATED, "diamond": _entry(p="1/2")}))
+        assert type(exc.value) is ValidationError and str(exc.value) == "grade (1/2,0) outside [0, 0]"
+
+
+class TestGradeParsing:
+    """An integer grade is read as it is; each distinct grade string is parsed once per entry list."""
+
+    @pytest.fixture
+    def parsed(self, monkeypatch):
+        calls = []
+
+        def counting(value, where):
+            calls.append(value)
+            return grade_from_json(value, where)
+
+        monkeypatch.setattr("orbikit.formats.grade_from_json", counting)
+        return calls
+
+    def test_integer_grades_are_not_parsed(self, parsed):
+        p = build_projective_quotient(ProjectiveQuotientSpec(3, (101,), ((0, 1, 2, 12),)), name="p3_z101")
+        assert presentation_from_obj(loads(dumps(presentation_to_obj(p)))) == p
+        assert diamond_from_obj(loads(dumps(diamond_to_obj("k3", K3_DIAMOND)))) == ("k3", K3_DIAMOND)
+        assert parsed == []
+
+    def test_each_distinct_grade_string_is_parsed_once(self, parsed):
+        d = assemble_diamond(build_projective_quotient(ProjectiveQuotientSpec(2, (101,), ((0, 1, 5),))))
+        obj = loads(dumps(diamond_to_obj("x", d)))
+        strings = [g for e in obj["entries"] for g in (e["p"], e["q"]) if isinstance(g, str)]
+        assert diamond_from_obj(obj) == ("x", d)
+        assert sorted(parsed) == sorted(set(strings)) and len(strings) > len(set(strings)) > 100
+
+    def test_a_grade_string_is_parsed_once_per_entry_list(self, parsed):
+        obj = _two_twisted([{"p": "0", "q": "0", "h": 1}])
+        obj["sectors"][1]["diamond"] = [{"p": "0", "q": 0, "h": 1}]
+        p = presentation_from_obj(obj)
+        assert parsed == ["0", "0"] and p.sectors[1][0].coarse_diamond is p.sectors[2][0].coarse_diamond

@@ -270,6 +270,22 @@ class TestAssembleDiamond:
     def test_level_is_lcm_of_orders(self, kummer2):
         assert assemble_diamond(kummer2).level == 2
 
+    def test_level_is_lcm_of_orders_on_integer_grades(self):
+        p = OrbifoldPresentation(2, [untwisted(2), InertiaComponent(3, (1, 2), POINT), InertiaComponent(2, (1, 1), POINT)])
+        d = assemble_diamond(p)
+        assert d.is_integer_graded() and d.lattice()[0] == 1
+        assert d.level == math.lcm(*(c.order_l for c, _ in p.sectors)) == 6
+
+    def test_built_and_assembled_maps_set_the_same_slots(self, kummer3):
+        def slots(obj, only_set=True):
+            declared = (s for cls in type(obj).__mro__ for s in getattr(cls, "__slots__", ()))
+            return {s for s in declared if hasattr(obj, s) or not only_set}
+
+        stringy, diamond = stringy_e(kummer3), assemble_diamond(kummer3)
+        assert slots(StringyPolynomial({(0, 0): 1})) == slots(stringy) == slots(stringy, only_set=False)
+        assert slots(HodgeDiamond.point()) == slots(diamond) == slots(diamond, only_set=False)
+        assert "_level" in slots(diamond) - slots(stringy)
+
     def test_total_is_sum_of_coarse_totals(self, rng):
         for _ in range(25):
             p = random_presentation(rng)
