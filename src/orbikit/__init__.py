@@ -8,107 +8,13 @@ constraints derived equivalence imposes, and reconstructing integer
 diamonds in dimension up to three.
 """
 
-from .diamond import (
-    ColumnVector,
-    Grade,
-    HodgeDiamond,
-    StringyPolynomial,
-    SymmetryReport,
-    as_grade,
-    check_symmetries,
-    columns,
-    format_grade,
-    serre_dual,
-)
-from .errors import (
-    DimensionMismatchError,
-    DimensionTooSmallError,
-    GroupTooLargeError,
-    InconsistentError,
-    NonGorensteinOrbifoldError,
-    OrbikitError,
-    OutOfRangeError,
-    ParityError,
-    ParseError,
-    PseudoReflectionError,
-    ScalarActionError,
-    UnsupportedDimensionError,
-    ValidationError,
-)
-from .inertia import (
-    InertiaComponent,
-    OrbifoldPresentation,
-    assemble_diamond,
-    extract_h0q,
-    is_gorenstein,
-    stringy_e,
-)
-from .invariants import (
-    McKayReport,
-    Mismatch,
-    PartnerReport,
-    Verdict,
-    check_partners,
-    extract_hn0,
-    extract_hn10,
-    hochschild_via_sectors,
-    mckay_compare,
-    reconstruct_gorenstein,
-)
-from .quotient import (
-    KummerSpec,
-    ProjectiveQuotientSpec,
-    build_kummer,
-    build_projective_quotient,
-    torus_invariant_diamond,
-)
+from . import diamond, errors, inertia, invariants, quotient
+from .diamond import *
+from .errors import *
+from .inertia import *
+from .invariants import *
+from .quotient import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ColumnVector",
-    "Grade",
-    "HodgeDiamond",
-    "StringyPolynomial",
-    "SymmetryReport",
-    "as_grade",
-    "check_symmetries",
-    "columns",
-    "format_grade",
-    "serre_dual",
-    "stringy_e",
-    "InertiaComponent",
-    "OrbifoldPresentation",
-    "assemble_diamond",
-    "extract_h0q",
-    "is_gorenstein",
-    "KummerSpec",
-    "ProjectiveQuotientSpec",
-    "build_kummer",
-    "build_projective_quotient",
-    "torus_invariant_diamond",
-    "McKayReport",
-    "Mismatch",
-    "PartnerReport",
-    "Verdict",
-    "check_partners",
-    "extract_hn0",
-    "extract_hn10",
-    "hochschild_via_sectors",
-    "mckay_compare",
-    "reconstruct_gorenstein",
-    "OrbikitError",
-    "ParseError",
-    "ValidationError",
-    "PseudoReflectionError",
-    "ScalarActionError",
-    "GroupTooLargeError",
-    "DimensionTooSmallError",
-    "OutOfRangeError",
-    "ParityError",
-    "NonGorensteinOrbifoldError",
-    "DimensionMismatchError",
-    "InconsistentError",
-    "UnsupportedDimensionError",
-    "__version__",
-]
+__all__ = [*diamond.__all__, *inertia.__all__, *quotient.__all__, *invariants.__all__, *errors.__all__, "__version__"]

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cache
 
 from .catalog import catalog_entries, source_document
-from .diamond import ColumnVector, HodgeDiamond, check_symmetries, format_grade
+from .diamond import ColumnVector, HodgeDiamond, check_printable, check_symmetries, format_grade
 from .errors import OrbikitError, ParseError
 from .formats import _diamond_json, document_from_obj, dumps, grade_to_json
 from .inertia import assemble_diamond, is_gorenstein
@@ -52,6 +52,7 @@ def _grid(d: HodgeDiamond, corner: str) -> list[list[str]]:
 
 
 def render_table(name: str, d: HodgeDiamond) -> str:
+    check_printable(d.level, "the level", "; use --format json or csv")
     rows = _grid(d, r"q\p")
     widths = [max(map(len, column)) for column in zip(*rows)]
     body = ["  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in rows]

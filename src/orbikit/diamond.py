@@ -18,6 +18,19 @@ them into diamonds.
 
 from __future__ import annotations
 
+__all__ = [
+    "ColumnVector",
+    "Grade",
+    "HodgeDiamond",
+    "StringyPolynomial",
+    "SymmetryReport",
+    "as_grade",
+    "check_symmetries",
+    "columns",
+    "format_grade",
+    "serre_dual",
+]
+
 import math
 import re
 import sys
@@ -77,6 +90,14 @@ def check_dim(dim_n) -> None:
         raise ValidationError(f"dimension must be a nonnegative integer, got {dim_n!r}")
 
 
+def check_printable(value: int, what: str, hint: str = "") -> None:
+    """Raise ValidationError naming `what`, then `hint`, when `value` has more digits than `str` may print."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit, as before Python 3.10.7
+    # A value below 8^limit < 10^limit prints, so the exact test runs only near the limit.
+    if limit and value.bit_length() > 3 * limit and abs(value) >= 10**limit:
+        raise ValidationError(f"{what} has more than {limit} decimal digits, past the int-to-string limit{hint}")
+
+
 def _format_key(key) -> str:
     return f"({format_grade(key[0])},{format_grade(key[1])})" if isinstance(key, tuple) else str(key)
 
@@ -121,9 +142,8 @@ class _SparseMap:
     which drops zeros and sorts.  Equality and hashing see the class, `dim_n`
     (None for StringyPolynomial, which has no dimension), the map and its
     key `_unit` (1 unless the keys are lattice points); nothing else.
-    Instances are immutable, so the hash is computed once.  A value with
-    more decimal digits than `str` may print (`sys.get_int_max_str_digits`)
-    is a ValidationError, so every stored value can be output.
+    Instances are immutable, so the hash is computed once.  `check_printable`
+    refuses a value that `str` may not print, so every stored value can be output.
     """
 
     __slots__ = ("_dim_n", "_unit", "_map", "_hash")
@@ -133,11 +153,7 @@ class _SparseMap:
         self._unit = unit
         self._map = {k: v for k, v in sorted(cleaned.items()) if v}
         self._hash = None
-        top = max(map(abs, self._map.values()), default=0)
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit, as before Python 3.10.7
-        # A value below 8^limit < 10^limit prints, so the exact test runs only near the limit.
-        if limit and top.bit_length() > 3 * limit and top >= 10**limit:
-            raise ValidationError(f"a value has more than {limit} decimal digits, past the int-to-string limit")
+        check_printable(max(map(abs, self._map.values()), default=0), "a value")
 
     @property
     def dim_n(self) -> int | None:

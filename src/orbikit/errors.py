@@ -1,5 +1,21 @@
 """Exception hierarchy shared across the package."""
 
+__all__ = [
+    "OrbikitError",
+    "ParseError",
+    "ValidationError",
+    "PseudoReflectionError",
+    "ScalarActionError",
+    "GroupTooLargeError",
+    "DimensionTooSmallError",
+    "OutOfRangeError",
+    "ParityError",
+    "NonGorensteinOrbifoldError",
+    "DimensionMismatchError",
+    "InconsistentError",
+    "UnsupportedDimensionError",
+]
+
 
 class OrbikitError(Exception):
     """Base class for every error raised by this package; subclasses set the CLI `exit_code`."""
@@ -25,7 +41,7 @@ class ScalarActionError(ValidationError):
 
 
 class GroupTooLargeError(ValidationError):
-    """A size exceeds the one enumeration budget: a group order, a torus's Hodge pairs, a dense grid's cells."""
+    """A size exceeds the one enumeration budget: a group order, the coordinates of P^n, a torus's Hodge pairs, a dense grid's cells."""
 
 
 class DimensionTooSmallError(ValidationError):

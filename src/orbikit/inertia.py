@@ -29,6 +29,15 @@ when the quotient singularities are Gorenstein; else grades are fractional.
 
 from __future__ import annotations
 
+__all__ = [
+    "stringy_e",
+    "InertiaComponent",
+    "OrbifoldPresentation",
+    "assemble_diamond",
+    "extract_h0q",
+    "is_gorenstein",
+]
+
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -48,7 +57,8 @@ class InertiaComponent:
     subgroup of Z/l of order l / gcd(l, a_1, ..., a_n), so the last rule is
     faithfulness of the isotropy representation.  A single exponent coprime
     to l is sufficient but not necessary (e.g. exponents (2,2,3,3) at l = 6
-    occur at isolated fixed points of diagonal actions on P^4).
+    occur at isolated fixed points of diagonal actions on P^4).  A fixed
+    component is never empty, so its coarse diamond has h^{0,0} >= 1.
     """
 
     order_l: int
@@ -84,6 +94,8 @@ class InertiaComponent:
                 f"coarse space has dimension {coarse_diamond.dim_n} "
                 f"but the exponents fix {n_fixed} directions"
             )
+        if (0, 0) not in coarse_diamond._map:  # a stored-key test: values are positive, grades integral
+            raise ValidationError("coarse-space diamond must have h^{0,0} >= 1: a fixed component is never empty")
         object.__setattr__(self, "exponents", exps)
         object.__setattr__(self, "label", label)
 
@@ -170,7 +182,8 @@ def is_gorenstein(p: OrbifoldPresentation) -> bool:
     """True iff every sector age is an integer.
 
     Equivalent to all local groups acting through SL, and to the assembled
-    diamond having integer grades only.
+    diamond having integer grades only: each sector has h^{0,0} >= 1 (a rule
+    of `InertiaComponent`), so its age shows as the grade (age, age).
     """
     return all(sum(c.exponents) % c.order_l == 0 for c, _ in p.sectors)
 

@@ -15,6 +15,19 @@ diagonal has one unknown symmetry orbit at most; in dimension four diagonal 0 ha
 
 from __future__ import annotations
 
+__all__ = [
+    "McKayReport",
+    "Mismatch",
+    "PartnerReport",
+    "Verdict",
+    "check_partners",
+    "extract_hn0",
+    "extract_hn10",
+    "hochschild_via_sectors",
+    "mckay_compare",
+    "reconstruct_gorenstein",
+]
+
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction

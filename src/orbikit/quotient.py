@@ -17,6 +17,14 @@ Anything outside these two families (non-abelian groups, non-diagonal
 actions) must be entered as raw inertia data instead.
 """
 
+__all__ = [
+    "KummerSpec",
+    "ProjectiveQuotientSpec",
+    "build_kummer",
+    "build_projective_quotient",
+    "torus_invariant_diamond",
+]
+
 # No `from __future__ import annotations`: `formats` reads the spec field types as "params" shapes.
 import math
 from dataclasses import dataclass
@@ -33,8 +41,8 @@ from .errors import (
 )
 from .inertia import InertiaComponent, OrbifoldPresentation
 
-#: The one enumeration budget: the group order of a projective quotient,
-#: the (p, q) pairs of a Kummer torus diamond, the cells of a dense grid.
+#: The one enumeration budget: the group order and the n + 1 coordinates of a projective
+#: quotient of P^n, the (p, q) pairs of a Kummer torus diamond, the cells of a dense grid.
 MAX_GROUP_ORDER = 10_000
 
 
@@ -134,12 +142,13 @@ def build_projective_quotient(spec: ProjectiveQuotientSpec, name: str | None = N
     Raises ScalarActionError if a nonidentity element acts as a scalar
     (the action would not be effective on P^n).  If g fixes a hyperplane
     P(V_chi), that component's PseudoReflectionError names `g=(t) eig=chi`.
-    A group order above `MAX_GROUP_ORDER` (10 000) raises GroupTooLargeError
-    before any element is enumerated.
+    A group order or n + 1 coordinates above `MAX_GROUP_ORDER` (10 000)
+    raise GroupTooLargeError before any element is enumerated.
     """
     n = spec.proj_dim_n
     order = spec.group_order
     check_budget(order, f"group order {order} exceeds the limit {MAX_GROUP_ORDER}")
+    check_budget(n + 1, f"projective dimension {n} has {n + 1} coordinates, which exceeds the limit {MAX_GROUP_ORDER}")
     big = math.lcm(1, *spec.cyclic_orders)
     # Per coordinate i, the exponent of zeta_big by which each generator turns it.
     steps = list(zip(*([(big // m) * w for w in row] for m, row in zip(spec.cyclic_orders, spec.weights))))

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from orbikit import GroupTooLargeError, ParseError, assemble_diamond, build_kummer
+from orbikit import GroupTooLargeError, HodgeDiamond, ParseError, ValidationError, assemble_diamond, build_kummer
 from orbikit.catalog import catalog_entries, load_catalog_presentation
 from orbikit.cli import RENDERERS, _build_parser, main, render_diamond
 from orbikit.formats import diamond_from_obj, diamond_to_obj, dumps, loads
@@ -391,6 +391,51 @@ class TestInputs:
         assert code == 3 and out == ""
         assert err.count("\n") == 1 and err.startswith("error: GroupTooLargeError: torus dimension 3000 ")
 
+    def test_huge_projective_generator_is_refused_before_building(self, tmp_path):
+        path = tmp_path / "gen.json"
+        path.write_text(json.dumps(_pquot_file(n=10**5, orders=[], weights=[])))
+        start = time.perf_counter()
+        code, out, err = run_cli("diamond", str(path), "--format", "csv")
+        assert time.perf_counter() - start < 1
+        assert code == 3 and out == ""
+        assert err == ("error: GroupTooLargeError: projective dimension 100000 has 100001 coordinates, "
+                       "which exceeds the limit 10000\n")
+
+    def test_table_refuses_a_level_it_cannot_print(self, tmp_path):
+        # P^2 plus 90 point sectors of distinct 50-digit prime orders: 8 649 cells, but a level of over 4 400 digits.
+        primes, x = [], 10**49 + 1
+        while len(primes) < 90:
+            if all(pow(a, x - 1, x) == 1 for a in (2, 3, 5, 7)):
+                primes.append(x)
+            x += 2
+        point = [{"p": 0, "q": 0, "h": 1}]
+        path = tmp_path / "primes.json"
+        path.write_text(json.dumps({"name": "primes", "dim": 2, "sectors": [
+            {"order": 1, "exponents": [0, 0], "diamond": [{"p": i, "q": i, "h": 1} for i in range(3)]},
+            *({"order": m, "exponents": [1, 1], "diamond": point} for m in primes),
+        ]}))
+        code, out, err = run_cli("diamond", str(path))
+        assert code == 3 and out == "" and err.count("\n") == 1
+        assert err.startswith("error: ValidationError: the level has more than ") and "--format json or csv" in err
+        for fmt in ("json", "csv"):
+            code, out, err = run_cli("diamond", str(path), "--format", fmt)
+            assert code == 0 and err == "" and out.count("/") == 2 * 90  # p and q of each sector
+        with pytest.raises(ValidationError, match="--format json or csv"):
+            render_diamond("big", HodgeDiamond(0, {(0, 0): 1}, level=10**4301), "table")
+
+    def test_empty_coarse_diamond_is_refused(self, tmp_path):
+        # Without h^{0,0} the sectors of age 2/3 and 4/3 left no fractional grade for `check --gorenstein` to see.
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"name": "empty", "dim": 2, "sectors": [
+            {"order": 1, "exponents": [0, 0], "diamond": [{"p": i, "q": i, "h": 1} for i in range(3)]},
+            {"order": 3, "exponents": [1, 1], "diamond": []},
+            {"order": 3, "exponents": [2, 2], "diamond": []},
+        ]}))
+        for command in ("check", "diamond"):
+            code, out, err = run_cli(command, str(path))
+            assert code == 3 and out == "" and err.count("\n") == 1
+            assert err.startswith("error: ValidationError: coarse-space diamond must have h^{0,0} >= 1")
+
     def test_dense_formats_refuse_a_grid_over_budget(self, tmp_path):
         # P^3/(Z/9999) has 13 334 grades on each axis; JSON and CSV stay linear.
         path = tmp_path / "p3.json"
@@ -405,11 +450,11 @@ class TestInputs:
             assert "--format json or csv" in err
 
     def test_trivial_action_on_a_huge_projective_space_builds_one_diamond(self, tmp_path):
-        # Only P^20000 itself is a fixed component; no P^k below it is built.
-        path = tmp_path / "p20000.json"
-        path.write_text(json.dumps(_pquot_file(n=20_000, orders=[], weights=[])))
+        # Only P^9999, the largest within the budget, is a fixed component; no P^k below it is built.
+        path = tmp_path / "p9999.json"
+        path.write_text(json.dumps(_pquot_file(n=9_999, orders=[], weights=[])))
         code, out, err = run_cli("diamond", str(path), "--format", "csv")
-        assert code == 0 and err == "" and len(out.splitlines()) == 20_002
+        assert code == 0 and err == "" and len(out.splitlines()) == 10_001
         code, out, err = run_cli("diamond", str(path))
         assert code == 3 and out == "" and err.startswith("error: GroupTooLargeError: a dense grid of ")
 

@@ -112,6 +112,12 @@ class TestComponentValidation:
         with pytest.raises(ValidationError):
             InertiaComponent(2, (0, 1, 1), frac)
 
+    @pytest.mark.parametrize("coarse", [HodgeDiamond(0, {}), HodgeDiamond(1, {(1, 1): 1, (0, 1): 2})])
+    def test_coarse_diamond_needs_h00(self, coarse):
+        # A fixed component is never empty; without h^{0,0} its age would not show in the diamond.
+        with pytest.raises(ValidationError, match=r"h\^\{0,0\} >= 1"):
+            InertiaComponent(3, (1, 1) + (0,) * coarse.dim_n, coarse)
+
 
 class TestComponentValueSemantics:
     def test_list_exponents_become_a_tuple(self):

@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 import re
+import time
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -85,6 +86,15 @@ class TestProjectiveQuotient:
         big = spec(2, [10001], [[0, 1, 2]])
         with pytest.raises(GroupTooLargeError):
             build_projective_quotient(big)
+
+    def test_coordinates_share_the_group_order_budget(self):
+        # n + 1 homogeneous coordinates against MAX_GROUP_ORDER = 10 000, refused before P^n is built.
+        assert assemble_diamond(build_projective_quotient(spec(9999, [], []))).total() == 10_000
+        start = time.perf_counter()
+        with pytest.raises(GroupTooLargeError, match=r"^projective dimension 100000 has 100001 coordinates, "
+                                                     r"which exceeds the limit 10000$"):
+            build_projective_quotient(ProjectiveQuotientSpec(10**5, (), ()))
+        assert time.perf_counter() - start < 1
 
     def test_positive_dimensional_fixed_loci(self):
         p = build_projective_quotient(spec(3, [2], [[0, 0, 1, 1]]))
