@@ -41,7 +41,7 @@ class ScalarActionError(ValidationError):
 
 
 class GroupTooLargeError(ValidationError):
-    """A size exceeds the one enumeration budget: a group order, the coordinates of P^n, a torus's Hodge pairs, a dense grid's cells."""
+    """A size exceeds the one enumeration budget: a group order, P^n's coordinates, a torus's Hodge pairs, a grid's cells."""
 
 
 class DimensionTooSmallError(ValidationError):
