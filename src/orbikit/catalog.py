@@ -83,12 +83,7 @@ def catalog_entries() -> dict[str, CatalogEntry]:
     directory = os.environ.get(CATALOG_DIR_ENV)
     if directory:
         for path in sorted(Path(directory).glob("*.json")):
-            entries[path.stem] = CatalogEntry(
-                path.stem,
-                "file",
-                f"user catalog entry ({path})",
-                path,
-            )
+            entries[path.stem] = CatalogEntry(path.stem, "file", f"user catalog entry ({path})", path)
     return entries
 
 

@@ -3,8 +3,8 @@
 Exit codes (the error types' `exit_code`) are stable: 0 success/compatible,
 1 a requested check failed or the inputs are incompatible/inconsistent, 2
 parse error (including unknown catalog entries and unreadable or non-file
-paths) or standard output closed early, 3 validation error, 4 dimension
-mismatch, 5 unsupported dimension range.
+paths) or standard output closed early or unable to encode the text, 3
+validation error, 4 dimension mismatch, 5 unsupported dimension range.
 Machine output is exact: integers and "a/b" strings, never floats.
 """
 
@@ -33,11 +33,12 @@ def _load_any_diamond(source: str) -> HodgeDiamond:
     return loaded[1] if isinstance(loaded, tuple) else assemble_diamond(loaded)
 
 
-def _grid(d: HodgeDiamond, corner: str) -> list[list[str]]:
+def _grid(d: HodgeDiamond, corner: str, pad: bool = False) -> list[list[str]]:
     """The dense text grid of `d`: `corner` and the p grades, then each q (top down) and its row.
 
-    Both axes hold [0, n] and every stored grade.  More than
-    `MAX_GROUP_ORDER` cells raise GroupTooLargeError before any is built.
+    Both axes hold [0, n] and every stored grade.  Rows start as "0" cells and only the stored entries
+    are written; `pad` right-aligns each column to the widest of its header and its stored values.
+    More than `MAX_GROUP_ORDER` cells raise GroupTooLargeError before any is built.
     """
     unit, m = d.lattice()
     fractional = {x for key in m for x in key if x % unit}
@@ -45,18 +46,23 @@ def _grid(d: HodgeDiamond, corner: str) -> list[list[str]]:
     check_budget(cells, f"a dense grid of {cells} cells exceeds the limit {MAX_GROUP_ORDER}; use --format json or csv")
     axis = sorted(fractional.union(range(0, d.dim_n * unit + 1, unit)))
     text = d.grade_text(axis)
-    rows = [[corner] + [text[a] for a in axis]]
-    for c in reversed(axis):
-        rows.append([text[c]] + [str(m.get((a, c), 0)) for a in axis])
+    at = {x: j for j, x in enumerate(axis, 1)}  # a grade's column, and its row counted from the bottom
+    stored = [(at[c], at[a], str(h)) for (a, c), h in m.items()]
+    head = [corner] + [text[a] for a in axis]
+    widths = [max(map(len, head)), *map(len, head[1:])] if pad else [0] * len(head)  # column 0: the same grades
+    for _, j, cell in stored if pad else ():
+        widths[j] = max(widths[j], len(cell))
+    zeros = ["0".rjust(w) for w in widths[1:]]
+    rows = [[cell.rjust(w) for cell, w in zip(head, widths)]]
+    rows += [[text[c].rjust(widths[0])] + zeros for c in reversed(axis)]
+    for i, j, cell in stored:
+        rows[-i][j] = cell.rjust(widths[j])
     return rows
 
 
 def render_table(name: str, d: HodgeDiamond) -> str:
     check_printable(d.level, "the level", "; use --format json or csv")
-    rows = _grid(d, r"q\p")
-    widths = [max(map(len, column)) for column in zip(*rows)]
-    body = ["  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in rows]
-    return "\n".join([f"{name}  (dim {d.dim_n}, level {d.level})", *body])
+    return "\n".join([f"{name}  (dim {d.dim_n}, level {d.level})", *map("  ".join, _grid(d, r"q\p", pad=True))])
 
 
 def render_csv(d: HodgeDiamond) -> str:
@@ -66,9 +72,8 @@ def render_csv(d: HodgeDiamond) -> str:
 
 def render_tex(d: HodgeDiamond) -> str:
     rows = _grid(d, r"q \backslash p")
-    head, *body = [" & ".join(f"${cell}$" for cell in row) + r" \\" for row in rows]
-    lines = [rf"\begin{{tabular}}{{r|{'c' * (len(rows) - 1)}}}", head, r"\hline", *body, r"\end{tabular}"]
-    return "\n".join(lines)
+    head, *body = ["$" + "$ & $".join(row) + r"$ \\" for row in rows]
+    return "\n".join([rf"\begin{{tabular}}{{r|{'c' * (len(rows) - 1)}}}", head, r"\hline", *body, r"\end{tabular}"])
 
 
 #: Diamond output formats, the first the default: each renders (name, diamond) as text.
@@ -253,6 +258,9 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         print(f"error: {type(exc).__name__}: standard output closed early", file=sys.stderr)
+        return 2
+    except UnicodeEncodeError:  # e.g. a non-ASCII name under an ASCII locale
+        print(f"error: UnicodeEncodeError: standard output cannot encode the output ({sys.stdout.encoding})", file=sys.stderr)
         return 2
 
 

@@ -34,7 +34,6 @@ __all__ = [
 import math
 import re
 import sys
-from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -67,15 +66,17 @@ def as_grade(value: GradeLike) -> Grade:
     Floats are rejected: decimal notation cannot represent grades like 1/3
     exactly, and silently accepting floats would corrupt exactness.
     """
-    if is_int(value):
-        return Fraction(value)
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, str) and (match := _GRADE_TEXT.fullmatch(value)):
-        with suppress(ValueError):  # digits past Python's int-to-string limit
+    if isinstance(value, str) and (match := _GRADE_TEXT.fullmatch(value)):  # first: the file readers' case
+        try:
             num, den = int(match[1]), int(match[2] or 1)
-            if den > 0 and math.gcd(num, den) == 1:
-                return Fraction(num, den)
+        except ValueError:  # digits past Python's int-to-string limit
+            num = den = 0
+        if den > 0 and math.gcd(num, den) == 1:
+            return Fraction(num, den)
+    elif is_int(value):
+        return Fraction(value)
+    elif isinstance(value, Fraction):
+        return value
     raise ValidationError(f"not an exact rational grade: {value!r} (use int, Fraction or 'a/b' in lowest terms)")
 
 
@@ -125,6 +126,15 @@ def _check_entry(dim_n: int, x, y, h) -> tuple[int, int, int]:
         raise ValidationError(f"grade {_format_key((Fraction(a, b), Fraction(c, b)))} outside [0, {dim_n}]")
     if (a - c) % b:
         raise ValidationError(f"p - q must be an integer; got {_format_key((Fraction(a, b), Fraction(c, b)))}")
+    return a, c, b
+
+
+def _check_form(dim_n: int, pn: int, pd: int, qn: int, qd: int, h) -> tuple[int, int, int]:
+    """`_check_entry` at the grades pn/pd and qn/qd in lowest terms, with its messages and no Fraction made."""
+    b = pd if pd == qd else math.lcm(pd, qd)
+    a, c = pn * (b // pd), qn * (b // qd)
+    if type(h) is not int or h < 0 or not (0 <= a <= dim_n * b and 0 <= c <= dim_n * b) or (a - c) % b:
+        _check_entry(dim_n, Fraction(pn, pd), Fraction(qn, qd), h)  # raises its message, or passes an int subclass
     return a, c, b
 
 
@@ -211,8 +221,8 @@ class _GradedMap(_SparseMap):
         super().__init__(dim_n, {(a // g, c // g): v for (a, c), v in acc.items() if v}, unit // g)
 
     def _store(self, dim_n: int | None, pairs: Iterable, check) -> None:
-        """Check each of `pairs` with `check`, then sum them on the lcm of their denominators."""
-        points = [(check(x, y, v), v) for (x, y), v in pairs]
+        """Check each (key, value) of `pairs` by `check(*key, value)`, then sum them on the lcm of their denominators."""
+        points = [(check(*key, v), v) for key, v in pairs]
         common = math.lcm(1, *{b for (_, _, b), _ in points})
         acc: dict[tuple[int, int], int] = {}
         for (a, c, b), v in points:
@@ -298,6 +308,15 @@ class HodgeDiamond(_GradedMap):
         items = entries.items() if isinstance(entries, Mapping) else entries
         self._store(dim_n, items, partial(_check_entry, dim_n))
         self._level = math.lcm(level, self._unit)
+
+    @classmethod
+    def _from_forms(cls, dim_n: int, forms: Iterable[tuple[tuple[int, int, int, int], int]]) -> "HodgeDiamond":
+        """`cls(dim_n, entries)` from grades as lowest-terms integers (pn, pd, qn, qd): the same checks, no Fraction."""
+        check_dim(dim_n)
+        made = cls.__new__(cls)
+        made._store(dim_n, forms, partial(_check_form, dim_n))
+        made._level = made._unit
+        return made
 
     @property
     def level(self) -> int:

@@ -13,7 +13,18 @@ import random
 from fractions import Fraction
 from itertools import product
 
-from orbikit import HodgeDiamond, InertiaComponent, OrbifoldPresentation, PseudoReflectionError, ScalarActionError
+from orbikit import (
+    HodgeDiamond,
+    InertiaComponent,
+    OrbifoldPresentation,
+    ProjectiveQuotientSpec,
+    PseudoReflectionError,
+    ScalarActionError,
+    assemble_diamond,
+    build_projective_quotient,
+)
+from orbikit.diamond import check_printable
+from orbikit.quotient import MAX_GROUP_ORDER, check_budget
 
 # K3 surface (also: what the Kummer surface must assemble to).
 K3_DIAMOND = HodgeDiamond(2, {(0, 0): 1, (2, 0): 1, (0, 2): 1, (1, 1): 20, (2, 2): 1})
@@ -117,6 +128,22 @@ def random_presentation(
             else:
                 break
     return OrbifoldPresentation(n, comps, name=f"random-{rng.getrandbits(32):08x}")
+
+
+def random_fractional_diamonds(rng: random.Random, count: int):
+    """Assembled diamonds of `count` random presentations and of up to `count` P^n/(Z/p), most fractionally graded.
+
+    The P^n/(Z/p) take n in 1..4, a prime p up to 29 and distinct weights with a zero; a weight vector that
+    fixes a hyperplane (PseudoReflectionError) is skipped.
+    """
+    for _ in range(count):
+        yield assemble_diamond(random_presentation(rng))
+        n, p = rng.randint(1, 4), rng.choice([5, 7, 11, 13, 29])
+        weights = (0, *sorted(rng.sample(range(1, p), n)))
+        try:
+            yield assemble_diamond(build_projective_quotient(ProjectiveQuotientSpec(n, (p,), (weights,))))
+        except PseudoReflectionError:
+            continue
 
 
 def expanded(p: OrbifoldPresentation) -> tuple[InertiaComponent, ...]:
@@ -259,3 +286,40 @@ def find_column_equal_pair():
             return by_signature[signature], d
         by_signature.setdefault(signature, d)
     raise AssertionError("no column-equal pair found in the search range")
+
+
+# The dense renders cell by cell, as `orbikit.cli` wrote them before its grids were filled from the stored
+# entries alone: every cell is looked up, stringified and padded.  The oracle of the table and TeX formats.
+
+
+def grid_per_cell(d: HodgeDiamond, corner: str) -> list[list[str]]:
+    """The dense text grid of `d`: `corner` and the p grades, then each q (top down) and its row.
+
+    Both axes hold [0, n] and every stored grade.  More than
+    `MAX_GROUP_ORDER` cells raise GroupTooLargeError before any is built.
+    """
+    unit, m = d.lattice()
+    fractional = {x for key in m for x in key if x % unit}
+    cells = (d.dim_n + 1 + len(fractional)) ** 2
+    check_budget(cells, f"a dense grid of {cells} cells exceeds the limit {MAX_GROUP_ORDER}; use --format json or csv")
+    axis = sorted(fractional.union(range(0, d.dim_n * unit + 1, unit)))
+    text = d.grade_text(axis)
+    rows = [[corner] + [text[a] for a in axis]]
+    for c in reversed(axis):
+        rows.append([text[c]] + [str(m.get((a, c), 0)) for a in axis])
+    return rows
+
+
+def render_table_per_cell(name: str, d: HodgeDiamond) -> str:
+    check_printable(d.level, "the level", "; use --format json or csv")
+    rows = grid_per_cell(d, r"q\p")
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    body = ["  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in rows]
+    return "\n".join([f"{name}  (dim {d.dim_n}, level {d.level})", *body])
+
+
+def render_tex_per_cell(d: HodgeDiamond) -> str:
+    rows = grid_per_cell(d, r"q \backslash p")
+    head, *body = [" & ".join(f"${cell}$" for cell in row) + r" \\" for row in rows]
+    lines = [rf"\begin{{tabular}}{{r|{'c' * (len(rows) - 1)}}}", head, r"\hline", *body, r"\end{tabular}"]
+    return "\n".join(lines)

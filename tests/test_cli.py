@@ -9,10 +9,28 @@ from pathlib import Path
 
 import pytest
 
-from orbikit import GroupTooLargeError, HodgeDiamond, ParseError, ValidationError, assemble_diamond, build_kummer
+from orbikit import (
+    ColumnVector,
+    GroupTooLargeError,
+    HodgeDiamond,
+    ParseError,
+    ValidationError,
+    assemble_diamond,
+    build_kummer,
+    check_partners,
+    reconstruct_gorenstein,
+)
 from orbikit.catalog import catalog_entries, load_catalog_presentation
-from orbikit.cli import RENDERERS, _build_parser, main, render_diamond
+from orbikit.cli import RENDERERS, _build_parser, main, render_diamond, render_partners
 from orbikit.formats import diamond_from_obj, diamond_to_obj, dumps, loads
+from support import (
+    K3_DIAMOND,
+    P2_MU3_DIAMOND,
+    random_fractional_diamonds,
+    random_symmetric_diamond,
+    render_table_per_cell,
+    render_tex_per_cell,
+)
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 UPDATE_GOLDEN = os.environ.get("ORBIKIT_UPDATE_GOLDEN") == "1"
@@ -346,6 +364,60 @@ class TestRenderers:
         assert rendered.count("\n") == 1 + 99
 
 
+def assert_dense_renders_match_the_per_cell_oracle(name: str, d: HodgeDiamond) -> None:
+    assert render_diamond(name, d, "table") == render_table_per_cell(name, d)
+    assert render_diamond(name, d, "tex") == render_tex_per_cell(d)
+
+
+class TestDenseRendersFromStoredEntries:
+    """Grids filled from the stored entries alone equal the renders that looked up every cell."""
+
+    def test_random_symmetric_diamonds(self, rng):
+        for _ in range(40):
+            max_entry = rng.choice([1, 4, 10**6])
+            assert_dense_renders_match_the_per_cell_oracle("sym", random_symmetric_diamond(rng, rng.randint(0, 7), max_entry))
+
+    def test_fractional_diamonds(self, rng):
+        for d in random_fractional_diamonds(rng, 30):
+            assert_dense_renders_match_the_per_cell_oracle("frac", d)
+
+    @pytest.mark.parametrize("d", [HodgeDiamond.point(), HodgeDiamond(0, {}), HodgeDiamond(0, {(0, 0): 123456})],
+                             ids=["point", "empty", "wide"])
+    def test_dimension_zero(self, d):
+        assert_dense_renders_match_the_per_cell_oracle("0", d)
+
+    def test_a_value_wider_than_its_column_header(self):
+        d = reconstruct_gorenstein(ColumnVector(2, {2: 1, 0: 10**40, -2: 1}), n=2)
+        assert len(str(d.entry(1, 1))) == 40
+        for fmt, oracle in [("table", render_table_per_cell("reconstruction", d)), ("tex", render_tex_per_cell(d))]:
+            code, out, err = run_cli("reconstruct", "--dim", "2", "--columns", f"2:1,1:0,0:{10**40}", "--format", fmt)
+            assert (code, out, err) == (0, oracle + "\n", "")
+
+
+class TestJsonWriterAgainstStdlib:
+    """Partners and catalog JSON equal `json.dumps(..., indent=2, ensure_ascii=True)` of the same values."""
+
+    @pytest.mark.parametrize("a,b,strict,expected", [
+        (K3_DIAMOND, K3_DIAMOND, False, None),
+        (K3_DIAMOND, K3_DIAMOND, True, True),
+        (K3_DIAMOND, P2_MU3_DIAMOND, True, False),
+    ], ids=["strict_none", "strict_true", "strict_false"])
+    def test_partners_json(self, a, b, strict, expected):
+        text = render_partners(check_partners(a, b, strict_dim3=strict), "json")
+        obj = json.loads(text)
+        assert obj["strict_equal"] is expected and isinstance(obj["columns_equal"], bool)
+        assert text == json.dumps(obj, indent=2, ensure_ascii=True)
+
+    def test_catalog_json_with_escaped_user_entries(self, tmp_path, monkeypatch):
+        for stem in ["café", 'quote"d', "back\\slash"]:
+            (tmp_path / f"{stem}.json").write_text(json.dumps({"family": "kummer", "params": {"torus_dim_n": 2}}))
+        monkeypatch.setenv("ORBIKIT_CATALOG_DIR", str(tmp_path))
+        code, out, err = run_cli("catalog", "--format", "json")
+        assert (code, err) == (0, "") and out.isascii()
+        assert out == json.dumps(json.loads(out), indent=2, ensure_ascii=True) + "\n"
+        assert {"café", 'quote"d', "back\\slash"} <= {e["name"] for e in json.loads(out)["entries"]}
+
+
 class TestJsonRoundTrip:
     @pytest.mark.parametrize("entry", ["kummer2", "kummer3", "p2_mu3", "pn_trivial"])
     def test_diamond_json_reparses_bit_exactly(self, entry):
@@ -622,3 +694,29 @@ class TestClosedStdout:
         proc.stderr.close()
         assert proc.wait(timeout=60) == 2
         assert err.splitlines() == ["error: BrokenPipeError: standard output closed early"]
+
+
+class TestUnencodableOutput:
+    """Text that standard output's encoding cannot write exits 2 with one line, not with a traceback."""
+
+    @staticmethod
+    def run(argv, **env):
+        proc = subprocess.run([sys.executable, "-m", "orbikit", *argv], capture_output=True, env={**os.environ, **env},
+                              timeout=60)
+        return proc.returncode, proc.stdout, proc.stderr.decode("ascii").splitlines()
+
+    def test_a_name_under_an_ascii_stdout(self, tmp_path):
+        path = tmp_path / "cafe.json"
+        path.write_text(json.dumps({"family": "kummer", "params": {"torus_dim_n": 2}, "name": "café"}), encoding="utf-8")
+        code, out, err = self.run(["diamond", str(path)], PYTHONIOENCODING="ascii")
+        assert (code, out) == (2, b"")
+        assert err == ["error: UnicodeEncodeError: standard output cannot encode the output (ascii)"]
+
+    def test_an_undecodable_catalog_file_name(self, tmp_path):
+        try:
+            (tmp_path / os.fsdecode(b"\xff.json")).write_text("{}")
+        except (OSError, UnicodeError):
+            pytest.skip("the file system refuses a file name that is not UTF-8")
+        code, out, err = self.run(["catalog"], PYTHONIOENCODING="utf-8", ORBIKIT_CATALOG_DIR=str(tmp_path))
+        assert code == 2 and out.decode("ascii").startswith("kummer2 ")
+        assert err == ["error: UnicodeEncodeError: standard output cannot encode the output (utf-8)"]

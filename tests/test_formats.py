@@ -6,6 +6,7 @@ import pytest
 from orbikit import (
     HodgeDiamond,
     InertiaComponent,
+    OrbifoldPresentation,
     ParseError,
     ProjectiveQuotientSpec,
     PseudoReflectionError,
@@ -27,7 +28,12 @@ from orbikit.formats import (
     presentation_from_obj,
     presentation_to_obj,
 )
-from support import K3_DIAMOND, expanded, random_presentation
+from support import K3_DIAMOND, expanded, random_fractional_diamonds, random_presentation, random_symmetric_diamond
+
+
+def reference_dumps(obj) -> str:
+    """The stdlib layout that `dumps` and `_diamond_json` must equal byte for byte."""
+    return json.dumps(obj, indent=2, ensure_ascii=True)
 
 
 class TestGrades:
@@ -83,13 +89,40 @@ class TestDiamondFiles:
         ("", HodgeDiamond(1, {(1, 0): 10**4000})),
     ])
     def test_direct_writer_equals_dumps(self, name, d):
-        assert _diamond_json(name, d) == dumps(diamond_to_obj(name, d))
+        assert _diamond_json(name, d) == reference_dumps(diamond_to_obj(name, d)) == dumps(diamond_to_obj(name, d))
 
     def test_direct_writer_equals_dumps_on_assembled_diamonds(self, rng):
         for _ in range(30):
             p = random_presentation(rng)
             d = assemble_diamond(p)
-            assert _diamond_json(p.name, d) == dumps(diamond_to_obj(p.name, d))
+            assert _diamond_json(p.name, d) == reference_dumps(diamond_to_obj(p.name, d)) == dumps(diamond_to_obj(p.name, d))
+
+    def test_random_fractional_diamonds_read_back(self, rng):
+        fractional = 0
+        for d in random_fractional_diamonds(rng, 40):
+            name, again = diamond_from_obj(loads(dumps(diamond_to_obj("d", d))))
+            # A file stores no level: the read diamond's is its grades' lcm, as the public constructor gives.
+            assert (name, again) == ("d", d) and again.level == HodgeDiamond(d.dim_n, d.entries).level
+            fractional += not d.is_integer_graded()
+        assert fractional > 20
+
+    @pytest.mark.parametrize("entries", [
+        [{"p": 2, "q": 0, "h": 1}],
+        [{"p": "1/2", "q": "3/2", "h": 1}, {"p": "5/2", "q": "1/2", "h": 1}],
+        [{"p": "1/2", "q": 0, "h": 1}],
+        [{"p": "1/3", "q": "1/3", "h": 2}, {"p": 1, "q": "1/2", "h": -1}],
+        [{"p": "-1/2", "q": "-1/2", "h": 1}],
+    ], ids=["out_of_range", "fractional_out_of_range", "half_integer_difference", "negative_h", "negative_grade"])
+    def test_integer_forms_fail_as_the_constructor_does(self, entries):
+        with pytest.raises(ValidationError) as built:
+            HodgeDiamond(1, {(e["p"], e["q"]): e["h"] for e in entries})
+        with pytest.raises(ValidationError) as read:
+            diamond_from_obj({"name": "d", "dim": 1, "entries": entries})
+        assert type(read.value) is type(built.value) and str(read.value) == str(built.value)
+
+    def test_negative_dimension_fails_as_the_constructor_does(self):
+        with pytest.raises(ValidationError, match="^dimension must be a nonnegative integer, got -1$"):
+            diamond_from_obj({"name": "d", "dim": -1, "entries": [{"p": 0, "q": 0, "h": 1}]})
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ParseError):
@@ -467,3 +500,44 @@ class TestGradeParsing:
         obj["sectors"][1]["diamond"] = [{"p": "0", "q": 0, "h": 1}]
         p = presentation_from_obj(obj)
         assert parsed == ["0", "0"] and p.sectors[1][0].coarse_diamond is p.sectors[2][0].coarse_diamond
+
+
+LABEL = 'Kähler "K3"\n\tsurface \\ ∞ \U0001d54f \x7f\u2028'
+
+
+class TestWriter:
+    """`dumps` equals the stdlib's indented layout byte for byte."""
+
+    def test_labels_counts_and_names_with_escapes(self):
+        coarse = HodgeDiamond(0, {(0, 0): 1})
+        p = OrbifoldPresentation(2, [
+            (InertiaComponent(1, (0, 0), HodgeDiamond.projective_space(2), label=LABEL), 1),
+            (InertiaComponent(3, (1, 2), coarse, label='quote " and backslash \\'), 3),
+            (InertiaComponent(3, (2, 1), coarse, label="new\nline"), 3),
+        ], name=LABEL)
+        obj = presentation_to_obj(p)
+        assert [s.get("count", 1) for s in obj["sectors"]] == [1, 3, 3]
+        assert dumps(obj) == reference_dumps(obj)
+        assert presentation_from_obj(loads(dumps(obj))) == p
+
+    def test_trivial_group_and_count_files(self):
+        for p in (build_projective_quotient(ProjectiveQuotientSpec(2, (), ()), name="pn_trivial"), build_kummer(5)):
+            obj = presentation_to_obj(p)
+            assert dumps(obj) == reference_dumps(obj)
+
+    def test_random_presentations(self, rng):
+        for _ in range(30):
+            obj = presentation_to_obj(random_presentation(rng))
+            assert dumps(obj) == reference_dumps(obj)
+
+    def test_scalars_and_empty_containers(self):
+        obj = {"t": True, "f": False, "n": None, "big": -(10**300), "empty_list": [], "empty_object": {},
+               "nested": [[], {}, [[]], {"": {}}], "": "", "keys \"with\" \u00e9scapes\n": [0]}
+        assert dumps(obj) == reference_dumps(obj)
+        assert dumps({}) == "{}"
+
+    def test_a_list_repeated_at_one_depth_and_at_another(self, rng):
+        shared = [1, {"x": "y", "z": [2, 3]}, "w"]
+        entries = diamond_to_obj("x", random_symmetric_diamond(rng, 3))["entries"]
+        obj = {"a": shared, "b": shared, "c": [shared, {"d": shared}], "e": [entries] * 2, "f": entries}
+        assert dumps(obj) == reference_dumps(obj)
