@@ -115,12 +115,10 @@ def render_partners(report: PartnerReport, fmt: str) -> str:
     lines = [f"{name}: {'equal' if ok else 'MISMATCH'}" for name, ok in flags.items()]
     if report.strict_equal is not None:
         lines.append(f"strict: {'equal' if report.strict_equal else 'MISMATCH'}")
-    for m in report.failures:
-        index = _format_index(m.index, format_grade, ",".join)
-        lines.append(f"  {m.constraint}[{index}]: {m.left} vs {m.right}")
-    for m in report.informational:
-        index = _format_index(m.index, format_grade, ",".join)
-        lines.append(f"info: {m.constraint}[{index}]: {m.left} vs {m.right} (not verdict-affecting)")
+    for head, found, tail in (("  ", report.failures, ""), ("info: ", report.informational, " (not verdict-affecting)")):
+        for m in found:
+            index = _format_index(m.index, format_grade, ",".join)
+            lines.append(f"{head}{m.constraint}[{index}]: {m.left} vs {m.right}{tail}")
     lines.append(f"verdict: {report.verdict.value}")
     if report.verdict is Verdict.COMPATIBLE_SO_FAR:
         lines.append(PARTNER_NOTE)

@@ -171,14 +171,14 @@ class _SparseMap:
 
     @property
     def _view(self) -> Mapping:
-        """Read-only view of the normalized map."""
-        return MappingProxyType(self._map)
+        """Read-only map of `items()`, built on access."""
+        return MappingProxyType(dict(self.items()))
 
     def items(self):
         return self._map.items()
 
-    def keys(self):
-        return self._map.keys()
+    def keys(self) -> list:
+        return [key for key, _ in self.items()]
 
     def total(self) -> int:
         """The sum of all stored values."""
@@ -208,9 +208,9 @@ class _GradedMap(_SparseMap):
     have equal keys whatever unit they were built on.  One core,
     `_on_lattice`, stores the map; the public constructors reach it through
     the checks of `_store`, `inertia` through `_from_lattice`, unchecked.
-    Grades become `Fraction`s only at the public edge (`items`, `keys`,
-    `entries`, `terms`), one per distinct numerator; `lattice` hands the
-    integers to the rest of the package, and `grade_text` writes them.
+    Only `items` turns grades into `Fraction`s, one per distinct numerator;
+    `keys`, `entries` and `terms` read it.  `lattice` hands the integers to
+    the rest of the package, and `grade_text` writes them.
     """
 
     __slots__ = ()
@@ -258,14 +258,6 @@ class _GradedMap(_SparseMap):
         """The stored (key, value) pairs in key order, each grade an exact Fraction, made once per coordinate."""
         g = {x: Fraction(x, self._unit) for x in {x for key in self._map for x in key}}
         return [((g[a], g[c]), v) for (a, c), v in self._map.items()]
-
-    def keys(self) -> list[GradeKey]:
-        return [key for key, _ in self.items()]
-
-    @property
-    def _view(self) -> Mapping:
-        """Read-only Fraction-keyed map, built on access."""
-        return MappingProxyType(dict(self.items()))
 
     def _get(self, p: GradeLike, q: GradeLike) -> int:
         """The value at (p, q); 0 for any key not stored, on the lattice or off it."""
@@ -322,7 +314,7 @@ class HodgeDiamond(_GradedMap):
     def level(self) -> int:
         return self._level
 
-    entries = _GradedMap._view
+    entries = _SparseMap._view
     entry = _GradedMap._get
 
     def is_integer_graded(self) -> bool:
@@ -378,7 +370,7 @@ class StringyPolynomial(_GradedMap):
     def __init__(self, terms: Mapping[Tuple[GradeLike, GradeLike], int]):
         self._store(None, terms.items(), _check_term)
 
-    terms = _GradedMap._view
+    terms = _SparseMap._view
     coefficient = _GradedMap._get
 
 

@@ -41,8 +41,8 @@ from .errors import (
 )
 from .inertia import InertiaComponent, OrbifoldPresentation
 
-#: The one enumeration budget: the group order and the n + 1 coordinates of a projective
-#: quotient of P^n, the (p, q) pairs of a Kummer torus diamond, the cells of a dense grid.
+#: The one enumeration budget: the group order and the n + 1 coordinates of P^n, whose product
+#: `build_projective_quotient` bounds by 4 times it; the (p, q) pairs of a Kummer torus diamond; the cells of a dense grid.
 MAX_GROUP_ORDER = 10_000
 
 
@@ -142,13 +142,15 @@ def build_projective_quotient(spec: ProjectiveQuotientSpec, name: str | None = N
     Raises ScalarActionError if a nonidentity element acts as a scalar
     (the action would not be effective on P^n).  If g fixes a hyperplane
     P(V_chi), that component's PseudoReflectionError names `g=(t) eig=chi`.
-    A group order or n + 1 coordinates above `MAX_GROUP_ORDER` (10 000)
-    raise GroupTooLargeError before any element is enumerated.
+    GroupTooLargeError comes first when |G| or n + 1 exceeds `MAX_GROUP_ORDER`
+    (10 000), or |G|·(n + 1) exceeds 40 000: no element is enumerated.
     """
     n = spec.proj_dim_n
     order = spec.group_order
     check_budget(order, f"group order {order} exceeds the limit {MAX_GROUP_ORDER}")
     check_budget(n + 1, f"projective dimension {n} has {n + 1} coordinates, which exceeds the limit {MAX_GROUP_ORDER}")
+    if order * (n + 1) > 4 * MAX_GROUP_ORDER:  # every order the budget admits still acts on P^3
+        raise GroupTooLargeError(f"group order {order} times {n + 1} coordinates exceeds the limit {4 * MAX_GROUP_ORDER}")
     big = math.lcm(1, *spec.cyclic_orders)
     # Per coordinate i, the exponent of zeta_big by which each generator turns it.
     steps = list(zip(*([(big // m) * w for w in row] for m, row in zip(spec.cyclic_orders, spec.weights))))

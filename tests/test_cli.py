@@ -224,6 +224,12 @@ class TestExitCodes:
             3,
             "more than 4300 decimal digits",
         ),
+        "sectors_object": (b'{"name": "a", "dim": 0, "sectors": {}}', 2, "ParseError: sectors: expected a list\n"),
+        "order_zero": (
+            b'{"name": "a", "dim": 0, "sectors": [{"order": 0, "exponents": [], "diamond": [{"p": 0, "q": 0, "h": 1}]}]}',
+            3,
+            "ValidationError: sector order must be a positive integer, got 0\n",
+        ),
     }
 
     @pytest.mark.parametrize("name", [name for name, (_, code, _) in HOSTILE_JSON.items() if code == 2])
@@ -336,6 +342,7 @@ GENERATOR_ERRORS = [
     ("scalar_action", _pquot_file(weights=[[1, 1, 1]]), 3, "ScalarActionError: "),
     ("order_over_budget", _pquot_file(orders=[10_001]), 3, "GroupTooLargeError: group order 10001 "),
     ("proj_dim_n_zero", _pquot_file(n=0, weights=[[0]]), 3, "ValidationError: projective dimension "),
+    ("cyclic_order_zero", _pquot_file(orders=[0]), 3, "ValidationError: cyclic orders must be positive integers, got 0\n"),
 ]
 
 
@@ -720,3 +727,36 @@ class TestUnencodableOutput:
         code, out, err = self.run(["catalog"], PYTHONIOENCODING="utf-8", ORBIKIT_CATALOG_DIR=str(tmp_path))
         assert code == 2 and out.decode("ascii").startswith("kummer2 ")
         assert err == ["error: UnicodeEncodeError: standard output cannot encode the output (utf-8)"]
+
+
+class TestElementCoordinateBudget:
+    def test_a_large_group_on_a_large_projective_space_is_refused_before_building(self, tmp_path):
+        # Each budget alone admits Z/10000 and P^99; together they are 10^6 (element, coordinate) pairs.
+        path = tmp_path / "p99.json"
+        path.write_text(json.dumps(_pquot_file(n=99, orders=[10_000], weights=[list(range(100))])))
+        start = time.perf_counter()
+        code, out, err = run_cli("diamond", str(path), "--format", "csv")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (3, "")
+        assert err == "error: GroupTooLargeError: group order 10000 times 100 coordinates exceeds the limit 40000\n"
+
+
+class TestReconstructFlagRefusals:
+    """Each refusal of a `reconstruct` flag, with its exit code and its one stderr line."""
+
+    @pytest.mark.parametrize("columns,message", [
+        ("2:1,x", "--columns: expected 'i:v', got 'x'"),
+        ("a:b", "--columns: expected integers in 'a:b'"),
+        ("0:1,0:2", "--columns: column 0 given twice with different values"),
+    ])
+    def test_malformed_columns_flag(self, columns, message):
+        assert run_cli("reconstruct", "--dim", "2", "--columns", columns) == (2, "", f"error: ParseError: {message}\n")
+
+    def test_an_empty_columns_part_is_skipped(self):
+        # The golden's "2:1,1:0,0:22" names the same columns: a zero column is not stored.
+        golden = (GOLDEN_DIR / "reconstruct_k3_table.txt").read_text(encoding="utf-8")
+        assert run_cli("reconstruct", "--dim", "2", "--columns", "2:1,,0:22") == (0, golden, "")
+
+    def test_negative_h01(self):
+        got = run_cli("reconstruct", "--dim", "2", "--columns", "2:1,0:22", "--h01", "-1")
+        assert got == (3, "", "error: ValidationError: h01 must be a nonnegative integer, got -1\n")

@@ -121,6 +121,11 @@ class TestHodgeDiamond:
         d = HodgeDiamond(3, {("3/2", "3/2"): 64})
         assert d.entry(Fraction(3, 2), Fraction(3, 2)) == 64
 
+    def test_equality_with_another_type_is_not_implemented(self):
+        assert HodgeDiamond.point().__eq__(1) is NotImplemented
+        assert HodgeDiamond.point() != 1 and HodgeDiamond.point() != {(0, 0): 1}
+        assert HodgeDiamond.point() != ColumnVector(0, {0: 1})
+
 
 class TestSerreDual:
     def test_k3_self_dual(self, k3_diamond):
@@ -186,6 +191,10 @@ class TestColumnVector:
 
     def test_sparse_equality(self):
         assert ColumnVector(2, {0: 3, 1: 0}) == ColumnVector(2, {0: 3})
+
+    def test_rejects_non_integer_index(self):
+        with pytest.raises(ValidationError, match=r"^column index must be an integer, got '1'$"):
+            ColumnVector(2, {"1": 1})
 
 
 class TestStringyE:
@@ -256,3 +265,23 @@ def test_every_key_has_integral_diagonal(d):
 @given(diamonds())
 def test_columns_total_matches_diamond_total(d):
     assert columns(d).total() == d.total()
+
+
+@given(diamonds())
+def test_column_keys_and_view_follow_items(d):
+    c = columns(d)
+    assert c.keys() == sorted({int(p - q) for p, q in d.keys()})
+    assert dict(c.cols) == dict(c.items()) == {i: c[i] for i in c.keys()}
+    assert dict(d.entries) == dict(d.items()) and list(d.entries) == d.keys()
+
+
+@pytest.mark.parametrize("view", [
+    lambda: columns(K3_DIAMOND).cols,
+    lambda: K3_DIAMOND.entries,
+    lambda: StringyPolynomial({(0, 0): 1, ("1/2", "1/2"): -2}).terms,
+], ids=["cols", "entries", "terms"])
+def test_views_are_read_only(view):
+    with pytest.raises(TypeError):
+        view()[0] = 1
+    with pytest.raises(TypeError):
+        del view()[next(iter(view()))]

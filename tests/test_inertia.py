@@ -201,6 +201,27 @@ class TestPresentationValidation:
         assert p1 != p2
 
 
+class TestConstructorRefusals:
+    """Refusals of the library constructors, each with its type and full message."""
+
+    def test_non_integer_exponent(self):
+        with pytest.raises(ValidationError, match=r"^exponents must be integers, got 1\.0$"):
+            InertiaComponent(2, (1, 1.0), POINT)
+
+    def test_coarse_diamond_of_another_type(self):
+        with pytest.raises(ValidationError, match=r"^coarse_diamond must be a HodgeDiamond$"):
+            InertiaComponent(1, (0, 0), {(0, 0): 1})
+
+    def test_presentation_of_a_non_component(self):
+        with pytest.raises(ValidationError, match=r"^components must be InertiaComponent instances$"):
+            OrbifoldPresentation(2, [untwisted(2), "a sector"])
+
+    def test_presentation_equality_with_another_type_is_not_implemented(self):
+        p = OrbifoldPresentation(2, [untwisted(2)], name="x")
+        assert p.__eq__(p.sectors) is NotImplemented
+        assert p != p.sectors and p != "x" and p != untwisted(2)
+
+
 class TestMultiplicities:
     @staticmethod
     def both_forms(rng, p):

@@ -178,6 +178,10 @@ class TestProjectiveQuotient:
         b = build_projective_quotient(s)
         assert expanded(a) == expanded(b)
 
+    def test_non_integer_weight_is_refused(self):
+        with pytest.raises(ValidationError, match=r"^weights must be integers, got 1\.0$"):
+            ProjectiveQuotientSpec(2, (3,), ((0, 1.0, 2),))
+
     def test_weight_shape_validation(self):
         with pytest.raises(ValidationError):
             ProjectiveQuotientSpec(2, (3,), ((0, 1),))
@@ -185,6 +189,28 @@ class TestProjectiveQuotient:
             ProjectiveQuotientSpec(2, (3, 2), ((0, 1, 2),))
         with pytest.raises(ValidationError):
             ProjectiveQuotientSpec(0, (), ())
+
+
+class TestElementCoordinateBudget:
+    """|G|·(n + 1), the (element, coordinate) pairs the projective enumeration visits, is at most 40 000."""
+
+    def test_p4_at_the_bound_builds_every_sector(self):
+        # Sectors: the untwisted P^4 and one per distinct eigenvalue t·i mod 8000 of each element t != 0.
+        expected = 1 + sum(len({t * i % 8000 for i in range(5)}) for t in range(1, 8000))
+        p = build_projective_quotient(spec(4, [8000], [[0, 1, 2, 3, 4]]))
+        assert sum(count for _, count in p.sectors) == expected == 39_991
+
+    def test_p4_past_the_bound_is_refused_before_building(self):
+        start = time.perf_counter()
+        with pytest.raises(GroupTooLargeError, match=r"^group order 8001 times 5 coordinates exceeds the limit 40000$"):
+            build_projective_quotient(spec(4, [8001], [[0, 1, 2, 3, 4]]))
+        assert time.perf_counter() - start < 1
+
+    def test_the_order_and_coordinate_budgets_are_checked_first(self):
+        with pytest.raises(GroupTooLargeError, match=r"^group order 10001 exceeds the limit 10000$"):
+            build_projective_quotient(spec(4, [10001], [[0, 1, 2, 3, 4]]))
+        with pytest.raises(GroupTooLargeError, match=r"^projective dimension 100000 has 100001 coordinates, "):
+            build_projective_quotient(spec(10**5, [2], [[0] * 10**5 + [1]]))
 
 
 class TestPinnedOutput:
