@@ -40,7 +40,7 @@ from functools import partial
 from types import MappingProxyType
 from typing import Iterable, Mapping, Tuple, Union
 
-from .errors import ValidationError
+from .errors import GroupTooLargeError, ValidationError
 
 #: Exact rational bidegree coordinate.
 Grade = Fraction
@@ -51,6 +51,7 @@ GradeLike = Union[int, Fraction, str]
 GradeKey = Tuple[Grade, Grade]
 
 _GRADE_TEXT = re.compile(r"(-?\d+)(?:/(\d+))?", re.ASCII)
+_LATTICE_BITS = 1 << 24  # the keys of one map times the bits of their unit or level: about 2 MB of coordinates
 
 
 def is_int(value) -> bool:
@@ -97,6 +98,17 @@ def check_printable(value: int, what: str, hint: str = "") -> None:
     # A value below 8^limit < 10^limit prints, so the exact test runs only near the limit.
     if limit and value.bit_length() > 3 * limit and abs(value) >= 10**limit:
         raise ValidationError(f"{what} has more than {limit} decimal digits, past the int-to-string limit{hint}")
+
+
+def _bounded_lcm(values: Iterable[int], count_keys) -> int:
+    """The lcm of the distinct `values`, one at a time; past a machine word, GroupTooLargeError as soon as
+    `count_keys()` keys on (1/lcm)Z would pass `_LATTICE_BITS`, so no key on that lattice is built."""
+    unit, keys = 1, 0
+    for b in set(values):
+        unit = math.lcm(unit, b)
+        if unit >> 64 and (keys := keys or count_keys()) * (bits := unit.bit_length()) > _LATTICE_BITS:
+            raise GroupTooLargeError(f"{keys} grades times {bits} bits of the denominator exceeds the limit {_LATTICE_BITS}")
+    return unit
 
 
 def _format_key(key) -> str:
@@ -203,42 +215,37 @@ class _SparseMap:
 class _GradedMap(_SparseMap):
     """A sparse map keyed by bidegrees, stored as integer pairs on (1/unit)Z.
 
-    The key (a, c) stands for (a/unit, c/unit).  `unit` is canonical: the
-    lcm of the grade denominators (1 when there are none), so equal maps
-    have equal keys whatever unit they were built on.  One core,
-    `_on_lattice`, stores the map; the public constructors reach it through
-    the checks of `_store`, `inertia` through `_from_lattice`, unchecked.
-    Only `items` turns grades into `Fraction`s, one per distinct numerator;
-    `keys`, `entries` and `terms` read it.  `lattice` hands the integers to
-    the rest of the package, and `grade_text` writes them.
+    The key (a, c) stands for (a/unit, c/unit).  `unit` is canonical by
+    construction: the lcm of the stored grades' reduced denominators (1 when
+    there are none), so equal maps have equal keys.  The public constructors
+    store through the checks of `_store`, `inertia` through `_from_lattice`,
+    unchecked.  Only `items` turns grades into `Fraction`s, one per distinct
+    numerator; `keys`, `entries` and `terms` read it.  `lattice` hands the
+    integers to the rest of the package, and `grade_text` writes them.
     """
 
     __slots__ = ()
 
-    def _on_lattice(self, dim_n: int | None, unit: int, acc: Mapping[tuple[int, int], int]) -> None:
-        """The core: store the map (a, c) -> value on (1/unit)Z, zeros dropped and `unit` reduced by the gcd."""
-        g = math.gcd(unit, *(x for key, v in acc.items() if v for x in key))
-        super().__init__(dim_n, {(a // g, c // g): v for (a, c), v in acc.items() if v}, unit // g)
-
     def _store(self, dim_n: int | None, pairs: Iterable, check) -> None:
-        """Check each (key, value) of `pairs` by `check(*key, value)`, then sum them on the lcm of their denominators."""
-        points = [(check(*key, v), v) for key, v in pairs]
-        common = math.lcm(1, *{b for (_, _, b), _ in points})
-        acc: dict[tuple[int, int], int] = {}
-        for (a, c, b), v in points:
-            key = (a * (common // b), c * (common // b))
-            acc[key] = acc.get(key, 0) + v
-        self._on_lattice(dim_n, common, acc)
+        """Check each (key, value) by `check(*key, value)`; sum at its lowest-terms point (a, c, b), store on lcm(b)."""
+        sums: dict[tuple[int, int, int], int] = {}
+        for key, v in pairs:
+            point = check(*key, v)
+            sums[point] = sums.get(point, 0) + v
+        sums = {point: v for point, v in sums.items() if v}
+        unit = _bounded_lcm((b for _, _, b in sums), lambda: len(sums))
+        super().__init__(dim_n, {(a * (unit // b), c * (unit // b)): v for (a, c, b), v in sums.items()}, unit)
 
     @classmethod
     def _from_lattice(cls, dim_n: int | None, unit: int, acc: Mapping[tuple[int, int], int]):
-        """`cls` from a map on (1/unit)Z that `inertia` summed, by the core alone: nothing checked, no `level` set.
+        """`cls` storing a map on (1/unit)Z that `inertia` summed, as given: nothing checked, no `level` set.
 
         Precondition, proved by `inertia.assemble_diamond`: keys lie in [0, dim_n * unit]^2 with unit dividing
-        a - c, and values are positive sums of h times counts, signed by (-1)^{p-q} for stringy terms.
+        a - c, unit is the lcm of the keys' reduced denominators, and values are positive sums of h times
+        counts, signed by (-1)^{p-q} for stringy terms.
         """
         made = cls.__new__(cls)
-        made._on_lattice(dim_n, unit, acc)
+        _SparseMap.__init__(made, dim_n, acc, unit)
         return made
 
     def lattice(self) -> tuple[int, Mapping[tuple[int, int], int]]:

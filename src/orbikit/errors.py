@@ -41,7 +41,7 @@ class ScalarActionError(ValidationError):
 
 
 class GroupTooLargeError(ValidationError):
-    """A size exceeds the one enumeration budget: a group order, P^n's coordinates, a torus's Hodge pairs, a grid's cells."""
+    """A size exceeds its budget: a group order, P^n's coordinates, Hodge pairs, grid cells, or grade lattice bits."""
 
 
 class DimensionTooSmallError(ValidationError):

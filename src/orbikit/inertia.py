@@ -42,7 +42,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .diamond import Grade, HodgeDiamond, StringyPolynomial, _format_key, check_dim, is_int
+from .diamond import Grade, HodgeDiamond, StringyPolynomial, _bounded_lcm, _format_key, check_dim, is_int
 from .errors import OutOfRangeError, PseudoReflectionError, ValidationError
 
 
@@ -195,7 +195,9 @@ def assemble_diamond(p: OrbifoldPresentation) -> HodgeDiamond:
     by adding each coarse entry (p', q') times the sector's count at
     (p' + a, q' + a).  The level of the result is the lcm of the sector
     orders; the shifted grades of the integer-graded coarse diamonds are
-    summed as integers on (1/level)Z, which the diamond stores unchecked.
+    summed as integers on (1/level)Z and stored unchecked on (1/unit)Z, unit
+    the lcm of the ages' reduced denominators: canonical, as every age is a
+    stored grade (h^{0,0} >= 1).
     A presentation keeps its diamond: later calls return that one object.
 
     Raises OutOfRangeError if a shifted grade leaves [0, n], the one range
@@ -207,11 +209,13 @@ def assemble_diamond(p: OrbifoldPresentation) -> HodgeDiamond:
     if (made := getattr(p, "_diamond", None)) is not None:  # a duck-typed stand-in has no slot, keeps nothing
         return made
     n = p.dim_n
-    level = math.lcm(*(c.order_l for c, _ in p.sectors))
-    top = n * level
+    level = _bounded_lcm((c.order_l for c, _ in p.sectors), lambda: sum(len(c.coarse_diamond._map) for c, _ in p.sectors))
+    top, unit = n * level, 1
     acc: dict[tuple[int, int], int] = {}
     for c, count in p.sectors:
-        shift = sum(c.exponents) * (level // c.order_l)
+        age = sum(c.exponents)
+        shift = age * (level // c.order_l)
+        unit = math.lcm(unit, c.order_l // math.gcd(c.order_l, age))  # the denominator of the age in lowest terms
         for (i, j), h in c.coarse_diamond.lattice()[1].items():
             kp, kq = i * level + shift, j * level + shift
             if not (0 <= kp <= top and 0 <= kq <= top):
@@ -220,8 +224,10 @@ def assemble_diamond(p: OrbifoldPresentation) -> HodgeDiamond:
                     f"{_format_key((Fraction(kp, level), Fraction(kq, level)))} outside [0, {n}]"
                 )
             acc[(kp, kq)] = acc.get((kp, kq), 0) + h * count
-    made = HodgeDiamond._from_lattice(n, level, acc)
-    made._level = level  # the lcm of the sector orders, a multiple of the reduced unit
+    if (scale := level // unit) > 1:
+        acc = {(a // scale, c // scale): h for (a, c), h in acc.items()}
+    made = HodgeDiamond._from_lattice(n, unit, acc)
+    made._level = level  # the lcm of the sector orders, a multiple of the unit
     if isinstance(p, OrbifoldPresentation):
         object.__setattr__(p, "_diamond", made)
     return made

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -739,6 +740,47 @@ class TestElementCoordinateBudget:
         assert time.perf_counter() - start < 1
         assert (code, out) == (3, "")
         assert err == "error: GroupTooLargeError: group order 10000 times 100 coordinates exceeds the limit 40000\n"
+
+
+def _point_sectors_file(orders):
+    """P^2 plus one point sector of exponents (1, 1) for each order: ages 2/order, so the level is lcm(orders)."""
+    return {"name": "points", "dim": 2, "sectors": [
+        {"order": 1, "exponents": [0, 0], "diamond": [{"p": i, "q": i, "h": 1} for i in range(3)]},
+        *({"order": m, "exponents": [1, 1], "diamond": [{"p": 0, "q": 0, "h": 1}]} for m in orders),
+    ]}
+
+
+class TestLatticeBudget:
+    """Keys times the bits of their common denominator past 2^24 exit 3 with one line, before a key is built."""
+
+    ORDERS_31_DIGITS = [10**30 + 2 * k + 1 for k in range(800)]
+
+    def refused(self, *args):
+        start = time.perf_counter()
+        code, out, err = run_cli(*args)
+        assert time.perf_counter() - start < 1
+        assert (code, out, err.count("\n")) == (3, "", 1)
+        assert err.startswith("error: GroupTooLargeError: ") and err.endswith(" exceeds the limit 16777216\n")
+        return err
+
+    def test_explicit_file_of_800_distinct_31_digit_orders(self, tmp_path):
+        path = tmp_path / "points.json"
+        path.write_text(json.dumps(_point_sectors_file(self.ORDERS_31_DIGITS)))
+        assert " 803 grades times " in self.refused("diamond", str(path), "--format", "csv")
+
+    def test_diamond_file_of_800_distinct_31_digit_denominators(self, tmp_path):
+        path = tmp_path / "entries.json"
+        entries = [{"p": f"1/{b}", "q": f"1/{b}", "h": 1} for b in self.ORDERS_31_DIGITS]
+        path.write_text(json.dumps({"name": "entries", "dim": 1, "entries": entries}))
+        assert " 800 grades times " in self.refused("partners", str(path), str(path))
+
+    def test_explicit_file_of_250_orders_of_4200_digits(self, tmp_path):
+        # lcm of all 250 orders alone would take seconds: it is taken one order at a time and stops at the limit.
+        rng = random.Random(2003)
+        path = tmp_path / "digits.json"
+        path.write_text(json.dumps(_point_sectors_file([rng.getrandbits(14_000) | 1 << 13_999 | 1 for _ in range(250)])))
+        assert len(str(json.loads(path.read_text())["sectors"][1]["order"])) == 4215
+        assert " 253 grades times " in self.refused("diamond", str(path), "--format", "json")
 
 
 class TestReconstructFlagRefusals:

@@ -11,8 +11,11 @@ from hypothesis import given, settings, strategies as st
 
 from orbikit import (
     ColumnVector,
+    GroupTooLargeError,
     HodgeDiamond,
+    InertiaComponent,
     NonGorensteinOrbifoldError,
+    OrbifoldPresentation,
     ProjectiveQuotientSpec,
     StringyPolynomial,
     ValidationError,
@@ -29,8 +32,18 @@ from orbikit import (
     torus_invariant_diamond,
 )
 from orbikit.cli import render_diamond
-from orbikit.formats import diamond_to_obj, dumps, grade_to_json, loads, presentation_from_obj, presentation_to_obj
+from orbikit.diamond import _bounded_lcm
+from orbikit.formats import (
+    diamond_from_obj,
+    diamond_to_obj,
+    dumps,
+    grade_to_json,
+    loads,
+    presentation_from_obj,
+    presentation_to_obj,
+)
 from orbikit.quotient import MAX_GROUP_ORDER
+from support import random_fractional_diamonds, random_presentation
 
 F = Fraction
 
@@ -233,6 +246,80 @@ def test_lattice_is_canonical():
     assert d.lattice() == (2, {(1, 1): 1, (2, 2): 2}) and d.level == 12
     assert HodgeDiamond(2, {(1, 1): 1}, level=6).lattice() == (1, {(1, 1): 1})
     assert HodgeDiamond(2, {}).lattice() == (1, {}) and HodgeDiamond(2, {}).is_integer_graded()
+
+
+# -- the unit is canonical by construction ---------------------------------
+
+
+def grade_denominator_lcm(m) -> int:
+    """The lcm of the reduced denominators of the stored grades, read as plain Fractions."""
+    return math.lcm(1, *(g.denominator for key, _ in m.items() for g in key))
+
+
+def test_a_zero_entry_leaves_no_trace_in_the_unit():
+    plain = HodgeDiamond(2, {(0, 0): 1, (2, 2): 1})
+    d = HodgeDiamond(2, {(0, 0): 1, ("1/2", "1/2"): 0, (2, 2): 1})
+    assert d.lattice() == plain.lattice() == (1, {(0, 0): 1, (2, 2): 1})
+    assert d == plain and hash(d) == hash(plain) and d.level == 1 and d.is_integer_graded()
+    entries = [{"p": "1/2", "q": "1/2", "h": 0}, {"p": 0, "q": 0, "h": 1}, {"p": 2, "q": 2, "h": 1}]
+    _, read = diamond_from_obj({"name": "z", "dim": 2, "entries": entries})
+    assert read.lattice() == plain.lattice() and read == plain and hash(read) == hash(plain) and read.level == 1
+
+
+def test_cancelling_stringy_terms_leave_no_trace_in_the_unit():
+    assert StringyPolynomial({("1/2", "1/2"): 3, (F(1, 2), F(2, 4)): -3}).lattice() == (1, {})
+    e = StringyPolynomial({(1, 1): 2, ("1/2", "1/2"): 3, (F(1, 2), F(1, 2)): -3})
+    assert e.lattice() == (1, {(1, 1): 2}) and e == StringyPolynomial({(1, 1): 2})
+    assert hash(e) == hash(StringyPolynomial({(1, 1): 2}))
+
+
+def test_an_order_four_sector_of_age_one_half_has_unit_two_and_level_four():
+    p = OrbifoldPresentation(2, [
+        InertiaComponent(1, (0, 0), HodgeDiamond.projective_space(2)),
+        InertiaComponent(4, (1, 1), HodgeDiamond.point()),
+    ])
+    d = assemble_diamond(p)
+    assert d.lattice() == (2, {(0, 0): 1, (1, 1): 1, (2, 2): 1, (4, 4): 1}) and d.level == 4
+    assert stringy_e(p).lattice()[0] == 2
+
+
+def test_a_projective_quotient_unit_below_its_level():
+    # P^3/(Z/7560): every age has a denominator dividing 1 890 = 7 560 / 4.
+    d = assemble_diamond(build_projective_quotient(ProjectiveQuotientSpec(3, (7560,), ((0, 1, 5127, 4760),))))
+    assert d.lattice()[0] == grade_denominator_lcm(d) == 1890 and d.level == 7560
+
+
+def test_unit_is_the_lcm_of_the_age_denominators(rng):
+    reduced = 0
+    for _ in range(80):
+        p = random_presentation(rng, max_sectors=rng.choice([4, 20]), max_order=rng.choice([12, 60]))
+        unit = math.lcm(*(c.age().denominator for c, _ in p.sectors))
+        d = assemble_diamond(p)
+        assert d.lattice()[0] == stringy_e(p).lattice()[0] == grade_denominator_lcm(d) == unit
+        assert d.level == math.lcm(*(c.order_l for c, _ in p.sectors))
+        reduced += unit < d.level
+    assert reduced > 10
+
+
+def test_unit_of_a_constructed_or_read_diamond_is_the_lcm_of_its_grade_denominators(rng):
+    for d in random_fractional_diamonds(rng, 30):
+        built = HodgeDiamond(d.dim_n, {key: h for key, h in d.items()})
+        _, read = diamond_from_obj(loads(dumps(diamond_to_obj("d", d))))
+        assert built.lattice() == read.lattice() == d.lattice() and d.lattice()[0] == grade_denominator_lcm(d)
+
+
+def test_lattice_bound_is_keys_times_bits_of_the_lcm():
+    def refuse():
+        raise AssertionError("keys counted below a machine word")
+
+    assert _bounded_lcm(range(1, 41), refuse) == math.lcm(*range(1, 41))  # lcm(1..40) < 2^64
+    big = 2**100 + 1  # 101 bits
+    assert _bounded_lcm([big, 1, big], lambda: (1 << 24) // 101) == big  # 166 111 * 101 bits fit
+    with pytest.raises(GroupTooLargeError, match=r"^166112 grades times 101 bits of the denominator exceeds the limit 16777216$"):
+        _bounded_lcm([big], lambda: (1 << 24) // 101 + 1)
+    orders = [10**30 + 2 * k + 1 for k in range(800)]
+    with pytest.raises(GroupTooLargeError, match="exceeds the limit 16777216"):
+        HodgeDiamond(1, {(F(1, b), F(1, b)): 1 for b in orders})
 
 
 # -- integer keys stay integers --------------------------------------------
