@@ -779,7 +779,7 @@ class TestLatticeBudget:
         rng = random.Random(2003)
         path = tmp_path / "digits.json"
         path.write_text(json.dumps(_point_sectors_file([rng.getrandbits(14_000) | 1 << 13_999 | 1 for _ in range(250)])))
-        assert len(str(json.loads(path.read_text())["sectors"][1]["order"])) == 4215
+        assert len(str(json.loads(path.read_text())["sectors"][1]["order"])) == 4215  # under the 4 300-digit read limit
         assert " 253 grades times " in self.refused("diamond", str(path), "--format", "json")
 
 
