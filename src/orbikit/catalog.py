@@ -78,10 +78,10 @@ BUILTINS: dict[str, CatalogEntry] = {
 
 
 def catalog_entries() -> dict[str, CatalogEntry]:
-    """Built-in entries plus any NAME.json files from ORBIKIT_CATALOG_DIR."""
+    """Built-in entries plus any NAME.json files from ORBIKIT_CATALOG_DIR, if the OS lists it as a directory."""
     entries = dict(BUILTINS)
     directory = os.environ.get(CATALOG_DIR_ENV)
-    if directory:
+    if directory and os.path.isdir(directory):  # False, not OSError, for a name too long to look up
         for path in sorted(Path(directory).glob("*.json")):
             entries[path.stem] = CatalogEntry(path.stem, "file", f"user catalog entry ({path})", path)
     return entries

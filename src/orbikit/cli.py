@@ -3,7 +3,7 @@
 Exit codes (the error types' `exit_code`) are stable: 0 success/compatible,
 1 a requested check failed or the inputs are incompatible/inconsistent, 2
 parse error (including unknown catalog entries and unreadable or non-file
-paths) or standard output closed early or unable to encode the text, 3
+paths) or standard output closed early, failing or unable to encode, 3
 validation error, 4 dimension mismatch, 5 unsupported dimension range.
 Machine output is exact: integers and "a/b" strings, never floats.
 """
@@ -249,13 +249,14 @@ def main(argv=None) -> int:
     except OrbikitError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return exc.exit_code
-    except BrokenPipeError as exc:
-        # The reader left (e.g. `| head`).  Point stdout at devnull so that the
-        # interpreter's flush at exit finds nothing left to fail on.
+    except OSError as exc:
+        # The reader left (e.g. `| head`) or the device is full.  Point stdout at devnull so that
+        # the interpreter's flush at exit finds nothing left to fail on.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-        print(f"error: {type(exc).__name__}: standard output closed early", file=sys.stderr)
+        reason = "closed early" if isinstance(exc, BrokenPipeError) else f"failed ({exc.strerror})"
+        print(f"error: {type(exc).__name__}: standard output {reason}", file=sys.stderr)
         return 2
     except UnicodeEncodeError:  # e.g. a non-ASCII name under an ASCII locale
         print(f"error: UnicodeEncodeError: standard output cannot encode the output ({sys.stdout.encoding})", file=sys.stderr)

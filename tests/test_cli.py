@@ -1,3 +1,4 @@
+import errno
 import io
 import json
 import os
@@ -23,7 +24,15 @@ from orbikit import (
 )
 from orbikit.catalog import catalog_entries, load_catalog_presentation
 from orbikit.cli import RENDERERS, _build_parser, main, render_diamond, render_partners
-from orbikit.formats import diamond_from_obj, diamond_to_obj, dumps, loads
+from orbikit.formats import (
+    diamond_from_obj,
+    diamond_to_obj,
+    dumps,
+    loads,
+    presentation_from_obj,
+    presentation_to_obj,
+    read_json,
+)
 from support import (
     K3_DIAMOND,
     P2_MU3_DIAMOND,
@@ -435,6 +444,27 @@ class TestJsonRoundTrip:
         assert dumps(diamond_to_obj(name, diamond)) + "\n" == out
 
 
+class TestExplicitFileOfAGenerator:
+    """P^2/(Z/2003) with weights (0,1,5) written out sector by sector: 6 007 sectors, 2 distinct coarse diamonds."""
+
+    def test_explicit_file_matches_its_generator_and_its_diamond_file(self, tmp_path):
+        generator = tmp_path / "gen2003.json"
+        generator.write_text(json.dumps(_pquot_file(orders=[2003], weights=[[0, 1, 5]])))
+        text = dumps(presentation_to_obj(presentation_from_obj(read_json(generator))))
+        assert len(json.loads(text)["sectors"]) == 6007
+        assert text == json.dumps(json.loads(text), indent=2, ensure_ascii=True)
+        explicit = tmp_path / "explicit2003.json"
+        explicit.write_text(text)
+        code, diamond_json, err = run_cli("diamond", str(generator), "--format", "json")
+        assert (code, err) == (0, "")
+        assert run_cli("diamond", str(explicit), "--format", "json") == (0, diamond_json, "")
+        # Its diamond file holds about 3 000 fractional entries.
+        diamond_file = tmp_path / "diamond2003.json"
+        diamond_file.write_text(diamond_json)
+        code, out, err = run_cli("partners", str(explicit), str(diamond_file), "--format", "json")
+        assert (code, err) == (0, "") and json.loads(out)["verdict"] == "CompatibleSoFar"
+
+
 class TestInputs:
     def test_diamond_file_input_for_partners(self, tmp_path, k3_diamond):
         path = tmp_path / "k3.json"
@@ -443,8 +473,6 @@ class TestInputs:
         assert code == 0 and "CompatibleSoFar" in out
 
     def test_orbifold_file_input(self, tmp_path, p2_mu3):
-        from orbikit.formats import presentation_to_obj
-
         path = tmp_path / "p2.json"
         path.write_text(dumps(presentation_to_obj(p2_mu3)))
         code, out, _ = run_cli("diamond", str(path), "--format", "json")
@@ -546,6 +574,16 @@ class TestInputs:
         assert code == 0 and "myorb" in out
         code, out, _ = run_cli("diamond", "myorb", "--format", "json")
         assert code == 0 and json.loads(out)["name"] == "myorb"
+
+    @pytest.mark.parametrize("directory", ["missing", "a" * 5000], ids=["missing", "name_too_long"])
+    def test_a_catalog_dir_the_os_cannot_list_adds_no_entries(self, tmp_path, directory):
+        # In a subprocess, so that an OSError reaching `main` would show as a standard-output failure.
+        env = {**os.environ, "ORBIKIT_CATALOG_DIR": str(tmp_path / directory)}
+        for golden, argv in [("catalog.txt", ["catalog"]), ("diamond_kummer2_table.txt", ["diamond", "kummer2"])]:
+            proc = subprocess.run([sys.executable, "-m", "orbikit", *argv], capture_output=True, text=True, env=env,
+                                  timeout=60)
+            assert (proc.returncode, proc.stderr) == (0, "")
+            assert proc.stdout == (GOLDEN_DIR / golden).read_text(encoding="utf-8")
 
     def test_user_catalog_entry_replaces_a_builtin(self, tmp_path, monkeypatch):
         path = tmp_path / "kummer2.json"
@@ -678,14 +716,38 @@ class _ClosedStdout(io.TextIOBase):
         return self._fd
 
 
+class _FullStdout(_ClosedStdout):
+    """A standard output on a full device: every write raises OSError(ENOSPC)."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
 class TestClosedStdout:
-    def test_broken_pipe_is_one_line_and_exit_two(self, tmp_path, monkeypatch):
+    @staticmethod
+    def run_in_process(stdout_type, tmp_path, monkeypatch):
         with open(tmp_path / "out", "wb") as target:
-            monkeypatch.setattr(sys, "stdout", _ClosedStdout(target.fileno()))
+            monkeypatch.setattr(sys, "stdout", stdout_type(target.fileno()))
             err = io.StringIO()
             with redirect_stderr(err):
                 code = main(["diamond", "kummer2"])
-        assert code == 2 and err.getvalue() == "error: BrokenPipeError: standard output closed early\n"
+        return code, err.getvalue()
+
+    def test_broken_pipe_is_one_line_and_exit_two(self, tmp_path, monkeypatch):
+        code, err = self.run_in_process(_ClosedStdout, tmp_path, monkeypatch)
+        assert code == 2 and err == "error: BrokenPipeError: standard output closed early\n"
+
+    def test_a_full_device_is_one_line_and_exit_two(self, tmp_path, monkeypatch):
+        code, err = self.run_in_process(_FullStdout, tmp_path, monkeypatch)
+        assert code == 2 and err == "error: OSError: standard output failed (No space left on device)\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    def test_output_to_dev_full(self):
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run([sys.executable, "-m", "orbikit", "diamond", "kummer2"], stdout=full,
+                                  stderr=subprocess.PIPE, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr.decode().splitlines() == ["error: OSError: standard output failed (No space left on device)"]
 
     def test_pipe_closed_after_the_first_line(self, tmp_path):
         # About 220 KB of JSON, more than a pipe holds, so the writer must meet the closed end.

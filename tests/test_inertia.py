@@ -500,6 +500,13 @@ class TestExtractH0q:
             for q in range(p.dim_n + 1):
                 assert extract_h0q(p, q) == d.entry(0, q)
 
+    def test_reads_h0q_not_hq0(self):
+        # An untwisted coarse diamond without Hodge symmetry: h^{0,1} = 1 but h^{1,0} = 0.
+        coarse = HodgeDiamond(2, {(0, 0): 1, (0, 1): 1, (1, 1): 1, (2, 2): 1})
+        p = OrbifoldPresentation(2, [untwisted(2, coarse)])
+        assert coarse.entry(1, 0) == 0
+        assert extract_h0q(p, 1) == assemble_diamond(p).entry(0, 1) == 1
+
     def test_rejects_out_of_range_q(self, kummer2):
         with pytest.raises(ValidationError):
             extract_h0q(kummer2, 3)
