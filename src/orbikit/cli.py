@@ -21,7 +21,6 @@ from .diamond import ColumnVector, HodgeDiamond, check_printable, check_symmetri
 from .errors import OrbikitError, ParseError
 from .formats import _diamond_json, document_from_obj, dumps, grade_to_json
 from .inertia import assemble_diamond, is_gorenstein
-from .invariants import Mismatch, PartnerReport, Verdict, check_partners, reconstruct_gorenstein
 from .quotient import MAX_GROUP_ORDER, check_budget
 
 PARTNER_NOTE = "note: necessary conditions only; this never certifies derived equivalence"
@@ -95,12 +94,13 @@ def _format_index(index, grade, join=list):
     return join(grade(Fraction(x)) for x in index) if isinstance(index, tuple) else index
 
 
-def _mismatch_to_json(m: Mismatch) -> dict:
-    """The fields of `m` in order, with the index in JSON form."""
+def _mismatch_to_json(m) -> dict:
+    """The fields of the `Mismatch` `m` in order, with the index in JSON form."""
     return {**vars(m), "index": _format_index(m.index, grade_to_json)}
 
 
-def render_partners(report: PartnerReport, fmt: str) -> str:
+def render_partners(report, fmt: str) -> str:
+    from .invariants import Verdict
     flags = {name: getattr(report, f"{name}_equal") for name in ("columns", "h01", "hn0", "hn10")}
     if fmt == "json":
         return dumps(
@@ -168,6 +168,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_partners(args) -> int:
+    from .invariants import Verdict, check_partners
     da = _load_any_diamond(args.a)
     db = _load_any_diamond(args.b)
     report = check_partners(da, db, strict_dim3=args.strict_dim3)
@@ -176,6 +177,7 @@ def cmd_partners(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
+    from .invariants import reconstruct_gorenstein
     cols = _parse_columns_flag(args.columns, args.dim)
     d = reconstruct_gorenstein(cols, h01=args.h01, n=args.dim)
     print(render_diamond("reconstruction", d, args.format))
@@ -197,9 +199,14 @@ def cmd_catalog(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):  # argparse's own writer drops an OSError, so failed help text would exit 0
+        print(self.format_help(), end="", file=file or sys.stdout, flush=True)
+
+
 @cache  # built once per process: parsing keeps no state, each call gets a new Namespace
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="orbikit",
         description="Exact orbifold Hodge diamonds and derived-equivalence invariant checks.",
     )
@@ -241,8 +248,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()
         return code

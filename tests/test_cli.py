@@ -1,3 +1,4 @@
+import argparse
 import errno
 import io
 import json
@@ -725,12 +726,12 @@ class _FullStdout(_ClosedStdout):
 
 class TestClosedStdout:
     @staticmethod
-    def run_in_process(stdout_type, tmp_path, monkeypatch):
+    def run_in_process(stdout_type, tmp_path, monkeypatch, argv=("diamond", "kummer2")):
         with open(tmp_path / "out", "wb") as target:
             monkeypatch.setattr(sys, "stdout", stdout_type(target.fileno()))
             err = io.StringIO()
             with redirect_stderr(err):
-                code = main(["diamond", "kummer2"])
+                code = main(list(argv))
         return code, err.getvalue()
 
     def test_broken_pipe_is_one_line_and_exit_two(self, tmp_path, monkeypatch):
@@ -748,6 +749,36 @@ class TestClosedStdout:
                                   stderr=subprocess.PIPE, timeout=60)
         assert proc.returncode == 2
         assert proc.stderr.decode().splitlines() == ["error: OSError: standard output failed (No space left on device)"]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("argv", [["--help"], ["diamond", "--help"]], ids=["top", "subcommand"])
+    def test_help_to_dev_full(self, argv, unbuffered):
+        # argparse drops an OSError of its own help write. Unbuffered, that write is the one that fails;
+        # buffered, only a flush fails, which must come before the interpreter's own flush at exit.
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run([sys.executable, "-m", "orbikit", *argv], stdout=full, stderr=subprocess.PIPE,
+                                  env=env, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr.decode().splitlines() == ["error: OSError: standard output failed (No space left on device)"]
+
+    @pytest.mark.parametrize("stdout_type, message", [
+        (_ClosedStdout, "BrokenPipeError: standard output closed early"),
+        (_FullStdout, "OSError: standard output failed (No space left on device)"),
+    ], ids=["closed", "full"])
+    def test_help_on_a_failing_stdout_in_process(self, stdout_type, message, tmp_path, monkeypatch):
+        code, err = self.run_in_process(stdout_type, tmp_path, monkeypatch, argv=["partners", "--help"])
+        assert code == 2 and err == f"error: {message}\n"
+
+    def test_help_text_is_argparses_own(self, capsys):
+        argparse.ArgumentParser.print_help(_build_parser())
+        expected = capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0 and capsys.readouterr() == (expected, "")
 
     def test_pipe_closed_after_the_first_line(self, tmp_path):
         # About 220 KB of JSON, more than a pipe holds, so the writer must meet the closed end.

@@ -1,0 +1,56 @@
+"""Which orbikit modules each entry point loads, each checked in a fresh interpreter."""
+
+import subprocess
+import sys
+
+import pytest
+
+
+def _python(*args):
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def cli_imports(*argv):
+    """The orbikit modules that `python -m orbikit ARGV` imports, read from `-X importtime`."""
+    lines = _python("-X", "importtime", "-m", "orbikit", *argv).stderr.splitlines()
+    names = {line.rsplit("|", 1)[-1].strip() for line in lines if line.startswith("import time:")}
+    return {name for name in names if name.split(".")[0] == "orbikit"}
+
+
+@pytest.mark.parametrize("argv", [["diamond", "kummer2"], ["check", "p2_mu3", "--gorenstein"], ["catalog"]])
+def test_commands_without_invariants_never_import_it(argv):
+    imported = cli_imports(*argv)
+    assert {"orbikit.cli", "orbikit.diamond"} <= imported
+    assert "orbikit.invariants" not in imported
+
+
+@pytest.mark.parametrize("argv", [["partners", "kummer2", "kummer2"], ["reconstruct", "--dim", "2", "--columns", "2:1,1:0,0:22"]])
+def test_commands_with_invariants_import_it(argv):
+    assert "orbikit.invariants" in cli_imports(*argv)
+
+
+def run_fresh(code):
+    """The standard output of `code` run after `import orbikit` in a fresh interpreter."""
+    return _python("-c", f"import sys, orbikit\n{code}").stdout
+
+
+def test_a_bare_import_loads_no_submodule():
+    assert run_fresh("print(*sorted(m for m in sys.modules if m.startswith('orbikit')))") == "orbikit\n"
+
+
+def test_dir_lists_every_public_name_before_first_use():
+    out = run_fresh("names = dir(orbikit)\nprint(len(orbikit.__all__), sorted(set(orbikit.__all__) - set(names)))")
+    assert out == "45 []\n"
+
+
+def test_a_submodule_still_resolves_as_a_module():
+    assert run_fresh("print(orbikit.inertia is sys.modules['orbikit.inertia'], orbikit.inertia.__name__)") == (
+        "True orbikit.inertia\n"
+    )
+
+
+def test_a_missing_name_raises_attribute_error():
+    out = run_fresh("try:\n    orbikit.nope\nexcept AttributeError as exc:\n    print(exc)")
+    assert out == "module 'orbikit' has no attribute 'nope'\n"
