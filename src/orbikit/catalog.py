@@ -7,10 +7,10 @@ path, so it may hold an orbifold file or a diamond file.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
+from .diamond import _Record, _set
 from .errors import ParseError
 from .formats import document_from_obj, read_json
 from .inertia import OrbifoldPresentation
@@ -19,12 +19,14 @@ from .inertia import OrbifoldPresentation
 CATALOG_DIR_ENV = "ORBIKIT_CATALOG_DIR"
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    kind: str  # "orbifold", "columns" or "file" (a user entry)
-    description: str
-    payload: dict | Path  # the document itself, or the file of a "file" entry
+class CatalogEntry(_Record):
+    __slots__ = ("name", "kind", "description", "payload")
+
+    def __init__(self, name: str, kind: str, description: str, payload: dict | Path):
+        _set(self, "name", name)
+        _set(self, "kind", kind)  # "orbifold", "columns" or "file" (a user entry)
+        _set(self, "description", description)
+        _set(self, "payload", payload)  # the document itself, or the file of a "file" entry
 
     def document(self) -> Any:
         """The JSON document this entry loads as; a "columns" entry loads as none."""

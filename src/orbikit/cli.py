@@ -96,7 +96,7 @@ def _format_index(index, grade, join=list):
 
 def _mismatch_to_json(m) -> dict:
     """The fields of the `Mismatch` `m` in order, with the index in JSON form."""
-    return {**vars(m), "index": _format_index(m.index, grade_to_json)}
+    return {"constraint": m.constraint, "index": _format_index(m.index, grade_to_json), "left": m.left, "right": m.right}
 
 
 def render_partners(report, fmt: str) -> str:

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import fields
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
@@ -186,9 +185,9 @@ def _presentation_from_generator(obj: dict) -> OrbifoldPresentation:
     if family not in GENERATORS:
         raise ParseError(f"unknown generator family {family!r}")
     spec_type, build = GENERATORS[family]
-    spec_fields = fields(spec_type)
-    _require_keys(params, {f.name for f in spec_fields}, set(), "params")
-    spec = spec_type(*(_from_json_shape(params[f.name], f.type, f"params.{f.name}") for f in spec_fields))
+    shapes = spec_type.__init__.__annotations__  # real types: `quotient` does not postpone its annotations
+    _require_keys(params, set(shapes), set(), "params")
+    spec = spec_type(*(_from_json_shape(params[name], shape, f"params.{name}") for name, shape in shapes.items()))
     return build(spec, name=name)
 
 

@@ -39,15 +39,13 @@ __all__ = [
 ]
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .diamond import Grade, HodgeDiamond, StringyPolynomial, _bounded_lcm, _format_key, check_dim, is_int
+from .diamond import Grade, HodgeDiamond, StringyPolynomial, _bounded_lcm, _format_key, _Record, _set, check_dim, is_int
 from .errors import OutOfRangeError, PseudoReflectionError, ValidationError
 
 
-@dataclass(frozen=True, slots=True)
-class InertiaComponent:
+class InertiaComponent(_Record):
     """One sector of the inertia decomposition.
 
     The one place that states the sector rules: a twisted sector has at
@@ -61,16 +59,13 @@ class InertiaComponent:
     component is never empty, so its coarse diamond has h^{0,0} >= 1.
     """
 
-    order_l: int
-    exponents: tuple[int, ...]
-    coarse_diamond: HodgeDiamond
-    label: str = ""
+    __slots__ = ("order_l", "exponents", "coarse_diamond", "label")
 
-    def __post_init__(self):
-        order_l, coarse_diamond, label = self.order_l, self.coarse_diamond, str(self.label)
+    def __init__(self, order_l: int, exponents: tuple[int, ...], coarse_diamond: HodgeDiamond, label: str = ""):
+        label = str(label)
         if not is_int(order_l) or order_l < 1:
             raise ValidationError(f"sector order must be a positive integer, got {order_l!r}")
-        exps = tuple(self.exponents)
+        exps = tuple(exponents)
         for a in exps:
             if not (is_int(a) and 0 <= a < order_l):
                 if not is_int(a):
@@ -96,8 +91,10 @@ class InertiaComponent:
             )
         if (0, 0) not in coarse_diamond._map:  # a stored-key test: values are positive, grades integral
             raise ValidationError("coarse-space diamond must have h^{0,0} >= 1: a fixed component is never empty")
-        object.__setattr__(self, "exponents", exps)
-        object.__setattr__(self, "label", label)
+        _set(self, "order_l", order_l)
+        _set(self, "exponents", exps)
+        _set(self, "coarse_diamond", coarse_diamond)
+        _set(self, "label", label)
 
     @property
     def is_untwisted(self) -> bool:
@@ -112,8 +109,7 @@ class InertiaComponent:
         return (self.order_l, self.exponents, self.label)
 
 
-@dataclass(frozen=True, slots=True)
-class OrbifoldPresentation:
+class OrbifoldPresentation(_Record):
     """Full inertia data of one orbifold: untwisted sector plus twisted components.
 
     `sectors` holds (component, count) pairs: `count` isomorphic copies of
@@ -124,15 +120,11 @@ class OrbifoldPresentation:
     counts add up to exactly one, and every exponent list has length `dim_n`.
     """
 
-    dim_n: int
-    sectors: tuple[tuple[InertiaComponent, int], ...]
-    name: str = ""
-    _multiset: frozenset | None = field(default=None, init=False)
-    _diamond: HodgeDiamond | None = field(default=None, init=False)
+    __slots__ = ("dim_n", "sectors", "name", "_multiset", "_diamond")
 
-    def __post_init__(self):
-        check_dim(self.dim_n)
-        sectors = tuple(s if isinstance(s, tuple) and len(s) == 2 else (s, 1) for s in self.sectors)
+    def __init__(self, dim_n: int, sectors: tuple[tuple[InertiaComponent, int], ...], name: str = ""):
+        check_dim(dim_n)
+        sectors = tuple(s if isinstance(s, tuple) and len(s) == 2 else (s, 1) for s in sectors)
         if not sectors:
             raise ValidationError("a presentation needs at least the untwisted sector")
         untwisted = 0
@@ -141,16 +133,19 @@ class OrbifoldPresentation:
                 raise ValidationError("components must be InertiaComponent instances")
             if not is_int(count) or count < 1:
                 raise ValidationError(f"sector count must be a positive integer, got {count!r}")
-            if len(c.exponents) != self.dim_n:
+            if len(c.exponents) != dim_n:
                 raise ValidationError(
-                    f"component {c.label!r} has {len(c.exponents)} exponents, ambient dimension is {self.dim_n}"
+                    f"component {c.label!r} has {len(c.exponents)} exponents, ambient dimension is {dim_n}"
                 )
             if c.order_l == 1:
                 untwisted += count
         if untwisted != 1:
             raise ValidationError(f"exactly one untwisted sector required, found {untwisted}")
-        object.__setattr__(self, "sectors", sectors)
-        object.__setattr__(self, "name", str(self.name))
+        _set(self, "dim_n", dim_n)
+        _set(self, "sectors", sectors)
+        _set(self, "name", str(name))
+        _set(self, "_multiset", None)
+        _set(self, "_diamond", None)
 
     @property
     def untwisted(self) -> InertiaComponent:
@@ -162,7 +157,7 @@ class OrbifoldPresentation:
             merged: dict[InertiaComponent, int] = {}
             for c, count in self.sectors:
                 merged[c] = merged.get(c, 0) + count
-            object.__setattr__(self, "_multiset", frozenset(merged.items()))
+            _set(self, "_multiset", frozenset(merged.items()))
         return (self.dim_n, self.name, self._multiset)
 
     def __eq__(self, other) -> bool:
@@ -229,7 +224,7 @@ def assemble_diamond(p: OrbifoldPresentation) -> HodgeDiamond:
     made = HodgeDiamond._from_lattice(n, unit, acc)
     made._level = level  # the lcm of the sector orders, a multiple of the unit
     if isinstance(p, OrbifoldPresentation):
-        object.__setattr__(p, "_diamond", made)
+        _set(p, "_diamond", made)
     return made
 
 

@@ -28,7 +28,6 @@ __all__ = [
     "reconstruct_gorenstein",
 ]
 
-from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from typing import Mapping, Optional
@@ -38,6 +37,8 @@ from .diamond import (
     HodgeDiamond,
     SymmetryReport,
     _format_key,
+    _Record,
+    _set,
     check_dim,
     check_symmetries,
     columns,
@@ -59,14 +60,16 @@ class Verdict(Enum):
     INCOMPATIBLE = "Incompatible"
 
 
-@dataclass(frozen=True)
-class Mismatch:
+class Mismatch(_Record):
     """One failed comparison: which constraint, where, and the two values."""
 
-    constraint: str
-    index: object
-    left: int
-    right: int
+    __slots__ = ("constraint", "index", "left", "right")
+
+    def __init__(self, constraint: str, index: object, left: int, right: int):
+        _set(self, "constraint", constraint)
+        _set(self, "index", index)
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
 def _holds(constraint: str) -> property:
@@ -74,8 +77,7 @@ def _holds(constraint: str) -> property:
     return property(lambda self: all(m.constraint != constraint for m in self.failures))
 
 
-@dataclass(frozen=True)
-class PartnerReport:
+class PartnerReport(_Record):
     """Outcome of the necessary-condition comparison of two diamonds.
 
     `failures` holds every verdict-affecting mismatch (columns, h01, hn0,
@@ -87,9 +89,13 @@ class PartnerReport:
     affect the verdict since their invariance is not known in general.
     """
 
-    failures: tuple[Mismatch, ...] = ()
-    informational: tuple[Mismatch, ...] = ()
-    strict_equal: Optional[bool] = None
+    __slots__ = ("failures", "informational", "strict_equal")
+
+    def __init__(self, failures: tuple[Mismatch, ...] = (), informational: tuple[Mismatch, ...] = (),
+                 strict_equal: Optional[bool] = None):
+        _set(self, "failures", failures)
+        _set(self, "informational", informational)
+        _set(self, "strict_equal", strict_equal)
 
     columns_equal = _holds("columns")
     h01_equal = _holds("h01")
@@ -101,9 +107,11 @@ class PartnerReport:
         return Verdict.INCOMPATIBLE if self.failures else Verdict.COMPATIBLE_SO_FAR
 
 
-@dataclass(frozen=True)
-class McKayReport:
-    differences: tuple[Mismatch, ...] = ()
+class McKayReport(_Record):
+    __slots__ = ("differences",)
+
+    def __init__(self, differences: tuple[Mismatch, ...] = ()):
+        _set(self, "differences", differences)
 
     @property
     def equal(self) -> bool:
@@ -156,7 +164,7 @@ def _differences(constraint: str, a: Mapping, b: Mapping) -> list[Mismatch]:
 
 def _entry_differences(a: HodgeDiamond, b: HodgeDiamond) -> list[Mismatch]:
     """`_differences` of the entries of two integer-graded diamonds, read on their lattices (unit 1)."""
-    return [replace(m, index=(Fraction(m.index[0]), Fraction(m.index[1])))
+    return [Mismatch(m.constraint, (Fraction(m.index[0]), Fraction(m.index[1])), m.left, m.right)
             for m in _differences("entry", a.lattice()[1], b.lattice()[1])]
 
 

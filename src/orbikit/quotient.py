@@ -25,14 +25,13 @@ __all__ = [
     "torus_invariant_diamond",
 ]
 
-# No `from __future__ import annotations`: `formats` reads the spec field types as "params" shapes.
+# No `from __future__ import annotations`: `formats` reads the spec `__init__` annotations as "params" shapes.
 import math
-from dataclasses import dataclass
 from functools import cache
 from itertools import product
 from operator import mul
 
-from .diamond import HodgeDiamond, is_int
+from .diamond import HodgeDiamond, _Record, _set, is_int
 from .errors import (
     DimensionTooSmallError,
     GroupTooLargeError,
@@ -52,27 +51,24 @@ def check_budget(size: int, message: str) -> None:
         raise GroupTooLargeError(message)
 
 
-@dataclass(frozen=True)
-class ProjectiveQuotientSpec:
+class ProjectiveQuotientSpec(_Record):
     """Diagonal action of G = Z/m_1 x ... x Z/m_k on P^n.
 
     Row j of `weights` lists the exponents of generator j acting on the
     n + 1 homogeneous coordinates; entries are reduced mod m_j.
     """
 
-    proj_dim_n: int
-    cyclic_orders: tuple[int, ...]
-    weights: tuple[tuple[int, ...], ...]
+    __slots__ = ("proj_dim_n", "cyclic_orders", "weights")
 
-    def __post_init__(self):
-        n = self.proj_dim_n
+    def __init__(self, proj_dim_n: int, cyclic_orders: tuple[int, ...], weights: tuple[tuple[int, ...], ...]):
+        n = proj_dim_n
         if not is_int(n) or n < 1:
             raise ValidationError(f"projective dimension must be a positive integer, got {n!r}")
-        orders = tuple(self.cyclic_orders)
+        orders = tuple(cyclic_orders)
         for m in orders:
             if not is_int(m) or m < 1:
                 raise ValidationError(f"cyclic orders must be positive integers, got {m!r}")
-        rows = tuple(tuple(row) for row in self.weights)
+        rows = tuple(tuple(row) for row in weights)
         if len(rows) != len(orders):
             raise ValidationError(
                 f"{len(orders)} generators but {len(rows)} weight rows"
@@ -87,28 +83,28 @@ class ProjectiveQuotientSpec:
                 if not is_int(w):
                     raise ValidationError(f"weights must be integers, got {w!r}")
             reduced.append(tuple(w % m for w in row))
-        object.__setattr__(self, "cyclic_orders", orders)
-        object.__setattr__(self, "weights", tuple(reduced))
+        _set(self, "proj_dim_n", n)
+        _set(self, "cyclic_orders", orders)
+        _set(self, "weights", tuple(reduced))
 
     @property
     def group_order(self) -> int:
         return math.prod(self.cyclic_orders)
 
 
-@dataclass(frozen=True)
-class KummerSpec:
+class KummerSpec(_Record):
     """A complex torus of dimension n >= 2 modulo the negation involution."""
 
-    torus_dim_n: int
+    __slots__ = ("torus_dim_n",)
 
-    def __post_init__(self):
-        n = self.torus_dim_n
-        if not is_int(n) or n < 1:
-            raise ValidationError(f"torus dimension must be a positive integer, got {n!r}")
-        if n < 2:
+    def __init__(self, torus_dim_n: int):
+        if not is_int(torus_dim_n) or torus_dim_n < 1:
+            raise ValidationError(f"torus dimension must be a positive integer, got {torus_dim_n!r}")
+        if torus_dim_n < 2:
             raise DimensionTooSmallError(
                 "negation on a 1-torus fixes points in codimension one; need dimension >= 2"
             )
+        _set(self, "torus_dim_n", torus_dim_n)
 
 
 def torus_invariant_diamond(n: int) -> HodgeDiamond:
@@ -204,7 +200,7 @@ def build_kummer(spec: KummerSpec | int, name: str | None = None) -> OrbifoldPre
     return OrbifoldPresentation(n, components, name=name if name is not None else f"kummer{n}")
 
 
-#: Generator files' families: spec type (its fields are the "params") and builder.
+#: Generator files' families: spec type (its `__init__` parameters are the "params") and builder.
 GENERATORS = {
     "kummer": (KummerSpec, build_kummer),
     "projective_quotient": (ProjectiveQuotientSpec, build_projective_quotient),
