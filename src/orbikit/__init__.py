@@ -13,6 +13,8 @@ __version__ = "0.1.0"
 
 def __getattr__(name: str):
     """On the first missing name, publish the five modules' `__all__` names and `__all__` as plain attributes."""
+    if name in ("formats", "catalog", "cli"):  # modules without exports here, imported when reached by name
+        return import_module(f"{__name__}.{name}")
     modules = [import_module(f"{__name__}.{m}") for m in ("diamond", "inertia", "quotient", "invariants", "errors")]
     public = {n: getattr(m, n) for m in modules for n in m.__all__}
     globals().update(public, __all__=[*public, "__version__"])

@@ -1,19 +1,22 @@
-"""Built-in example catalog, extensible via the ORBIKIT_CATALOG_DIR directory.
+"""Built-in example catalog, extensible via the ORBIKIT_CATALOG_DIR directory, and the reader of CLI inputs.
 
 A user entry NAME.json there is listed with kind "file" and read like its
-path, so it may hold an orbifold file or a diamond file.
+path, so it may hold an orbifold file or a diamond file.  `read_json` reads any file strictly, and
+`document_from_obj` picks each document's reader: `quotient` for a generator request, `formats` for an
+explicit orbifold or diamond file.  So a catalog name loads neither `formats` nor `json`.
 """
 
 from __future__ import annotations
 
 import os
+from collections import Counter
 from pathlib import Path
 from typing import Any
 
-from .diamond import _Record, _set
+from .diamond import HodgeDiamond, _Record, _set
 from .errors import ParseError
-from .formats import document_from_obj, read_json
 from .inertia import OrbifoldPresentation
+from .quotient import _presentation_from_generator
 
 #: Environment variable naming a directory of extra NAME.json catalog entries.
 CATALOG_DIR_ENV = "ORBIKIT_CATALOG_DIR"
@@ -27,6 +30,12 @@ class CatalogEntry(_Record):
         _set(self, "kind", kind)  # "orbifold", "columns" or "file" (a user entry)
         _set(self, "description", description)
         _set(self, "payload", payload)  # the document itself, or the file of a "file" entry
+
+    def __eq__(self, other) -> bool:
+        return self.__reduce__() == other.__reduce__() if isinstance(other, CatalogEntry) else NotImplemented
+
+    def __hash__(self) -> int:  # not the payload: a built-in entry's is its document, a dict
+        return hash((self.name, self.kind, self.description))
 
     def document(self) -> Any:
         """The JSON document this entry loads as; a "columns" entry loads as none."""
@@ -89,6 +98,36 @@ def catalog_entries() -> dict[str, CatalogEntry]:
     return entries
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+        raise ParseError(f"invalid JSON: duplicate key {key!r}")
+    return obj
+
+
+def loads(text: str) -> Any:
+    """Parse JSON text strictly: duplicate keys, overdeep nesting and overlong integers are ParseErrors."""
+    import json
+    try:
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
+        raise ParseError(f"invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
+
+
+def read_json(path: Path) -> Any:
+    """`loads` of a UTF-8 file; other encodings and unreadable paths are ParseErrors."""
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot read ({exc.strerror})") from None
+    return loads(text)
+
+
 def source_document(source: str) -> Any:
     """The JSON document a file path or catalog name stands for; a regular file wins."""
     path = Path(source)
@@ -104,6 +143,21 @@ def source_document(source: str) -> Any:
     if entry is None:
         raise ParseError(f"unknown catalog entry: {source}")
     return entry.document()
+
+
+def document_from_obj(obj: Any, source: str, diamond_files: bool = False) -> OrbifoldPresentation | tuple[str, HodgeDiamond]:
+    """The presentation an orbifold file object holds, read for `source`.
+
+    An object with "entries" is a diamond file: a ParseError naming
+    `source`, or with `diamond_files` the (name, diamond) pair it holds.
+    """
+    entries = isinstance(obj, dict) and "entries" in obj
+    if entries and not diamond_files:
+        raise ParseError(f"{source}: expected an orbifold file, got a bare diamond file")
+    if not entries and isinstance(obj, dict) and "family" in obj:
+        return _presentation_from_generator(obj)
+    from .formats import diamond_from_obj, presentation_from_obj
+    return diamond_from_obj(obj) if entries else presentation_from_obj(obj)
 
 
 def load_catalog_presentation(entry: CatalogEntry) -> OrbifoldPresentation:

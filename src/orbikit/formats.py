@@ -31,22 +31,23 @@ overdeep nesting and overlong integers are errors.  A field that fails a
 plain type test goes to the helper that names it, so strictness, messages
 and exit codes do not depend on the fast path.  Serialization is canonical
 (sectors sorted by order, exponents, label, never merged; entries sorted by
-p, q), so output re-parses and re-serializes to identical bytes.
+p, q), so output re-parses and re-serializes to identical bytes.  This module
+reads explicit orbifold and diamond files and writes canonical output; `quotient`
+reads generator requests, and `catalog` reads JSON text and picks the reader.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
-from pathlib import Path
 from typing import Any, Callable
 
-from .diamond import Grade, HodgeDiamond, _format_key, as_grade, format_grade, is_int
+from .catalog import loads, read_json  # re-exported: the strict text reader lives in `catalog`
+from .diamond import Grade, HodgeDiamond, _format_key, as_grade, format_grade
 from .errors import ParseError, ValidationError
 from .inertia import InertiaComponent, OrbifoldPresentation
-from .quotient import GENERATORS
+from .quotient import _from_json_shape, _presentation_from_generator, _require_int, _require_keys, _require_str
 
 _EXPONENTS = tuple[int, ...]  # a sector's exponents as a `_from_json_shape` shape, built once, not per sector
 _SECTOR_REQUIRED = {"order", "exponents", "diamond"}
@@ -65,32 +66,6 @@ def grade_from_json(value: Any, where: str) -> Fraction:
         return as_grade(value)
     except ValidationError as exc:
         raise ParseError(f"{where}: {exc}") from None
-
-
-def _require_int(value: Any, where: str) -> int:
-    if not is_int(value):
-        raise ParseError(f"{where}: expected an integer, got {value!r}")
-    return value
-
-
-def _require_str(value: Any, where: str) -> str:
-    if not isinstance(value, str):
-        raise ParseError(f"{where}: expected a string, got {value!r}")
-    if not value.isascii() and any("\ud800" <= ch <= "\udfff" for ch in value):  # a JSON \u escape allows these
-        raise ParseError(f"{where}: not UTF-8 text (a lone surrogate in {value!r})")
-    return value
-
-
-def _require_keys(obj: dict, required: set[str], optional: set[str], where: str):
-    if not isinstance(obj, dict):
-        raise ParseError(f"{where}: expected an object, got {type(obj).__name__}")
-    keys = set(obj)
-    missing = required - keys
-    if missing:
-        raise ParseError(f"{where}: missing field(s) {sorted(missing)}")
-    unknown = keys - required - optional
-    if unknown:
-        raise ParseError(f"{where}: unknown field(s) {sorted(unknown)}")
 
 
 def _grade(value: Any, memo: dict, where: Callable[[], str], k: int) -> tuple[int, int]:
@@ -167,30 +142,6 @@ def presentation_from_obj(obj: Any) -> OrbifoldPresentation:
     return OrbifoldPresentation(dim, sectors, name=name)
 
 
-def _from_json_shape(value: Any, shape: Any, where: str) -> Any:
-    """`value` as a field of type `shape` (a generator spec field, a sector's exponents): an int, or a tuple."""
-    if shape is int:
-        return _require_int(value, where)
-    item = shape.__args__[0]
-    if not isinstance(value, list):
-        raise ParseError(f"{where}: expected a list of {'integers' if item is int else 'integer rows'}")
-    return tuple([_require_int(v, where) if item is int else _from_json_shape(v, item, where) for v in value])
-
-
-def _presentation_from_generator(obj: dict) -> OrbifoldPresentation:
-    _require_keys(obj, {"family", "params"}, {"name"}, "generator file")
-    family = _require_str(obj["family"], "family")
-    params = obj["params"]
-    name = _require_str(obj["name"], "name") if "name" in obj else None
-    if family not in GENERATORS:
-        raise ParseError(f"unknown generator family {family!r}")
-    spec_type, build = GENERATORS[family]
-    shapes = spec_type.__init__.__annotations__  # real types: `quotient` does not postpone its annotations
-    _require_keys(params, set(shapes), set(), "params")
-    spec = spec_type(*(_from_json_shape(params[name], shape, f"params.{name}") for name, shape in shapes.items()))
-    return build(spec, name=name)
-
-
 def presentation_to_obj(p: OrbifoldPresentation) -> dict:
     """Canonical orbifold file object: explicit sectors, canonically sorted.
 
@@ -217,19 +168,6 @@ def diamond_from_obj(obj: Any) -> tuple[str, HodgeDiamond]:
     name = _require_str(obj["name"], "name")
     dim = _require_int(obj["dim"], "dim")
     return name, HodgeDiamond._from_forms(dim, _entries_from_json(obj["entries"], lambda: "entries"))
-
-
-def document_from_obj(obj: Any, source: str, diamond_files: bool = False) -> OrbifoldPresentation | tuple[str, HodgeDiamond]:
-    """The presentation an orbifold file object holds, read for `source`.
-
-    An object with "entries" is a diamond file: a ParseError naming
-    `source`, or with `diamond_files` the (name, diamond) pair it holds.
-    """
-    if not (isinstance(obj, dict) and "entries" in obj):
-        return presentation_from_obj(obj)
-    if diamond_files:
-        return diamond_from_obj(obj)
-    raise ParseError(f"{source}: expected an orbifold file, got a bare diamond file")
 
 
 def diamond_to_obj(name: str, d: HodgeDiamond) -> dict:
@@ -259,46 +197,3 @@ def dumps(obj: dict) -> str:
         return written[id(value), depth]
 
     return encode(obj, 0)
-
-
-def _diamond_json(name: str, d: HodgeDiamond) -> str:
-    """`dumps(diamond_to_obj(name, d))` byte for byte, written entry by entry.
-
-    No object is built, so this is 2-4x faster than `dumps` on a diamond (P^2/(Z/2003) to kummer3).
-    """
-    grade = d.grade_text(quote='"')
-    entries = ",\n".join(
-        f'    {{\n      "p": {grade[a]},\n      "q": {grade[c]},\n      "h": {h}\n    }}'
-        for (a, c), h in d.lattice()[1].items()
-    )
-    body = f"[\n{entries}\n  ]" if entries else "[]"
-    return f'{{\n  "name": {json.dumps(name)},\n  "dim": {d.dim_n},\n  "entries": {body}\n}}'
-
-
-def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
-    obj = dict(pairs)
-    if len(obj) < len(pairs):
-        key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
-        raise ParseError(f"invalid JSON: duplicate key {key!r}")
-    return obj
-
-
-def loads(text: str) -> Any:
-    """Parse JSON text strictly: duplicate keys, overdeep nesting and overlong integers are ParseErrors."""
-    try:
-        return json.loads(text, object_pairs_hook=_unique_keys)
-    except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
-        raise ParseError(f"invalid JSON: {exc}") from exc
-    except RecursionError:
-        raise ParseError("invalid JSON: nested too deeply") from None
-
-
-def read_json(path: Path) -> Any:
-    """`loads` of a UTF-8 file; other encodings and unreadable paths are ParseErrors."""
-    try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
-    except OSError as exc:
-        raise ParseError(f"{path}: cannot read ({exc.strerror})") from None
-    return loads(text)

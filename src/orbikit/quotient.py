@@ -14,7 +14,8 @@
   2-torsion point, 2^{2n} in total, each of age n/2.
 
 Anything outside these two families (non-abelian groups, non-diagonal
-actions) must be entered as raw inertia data instead.
+actions) must be entered as raw inertia data instead.  Generator request
+documents are read here, so neither catalog names nor generator files load `formats`.
 """
 
 __all__ = [
@@ -25,19 +26,14 @@ __all__ = [
     "torus_invariant_diamond",
 ]
 
-# No `from __future__ import annotations`: `formats` reads the spec `__init__` annotations as "params" shapes.
+# No `from __future__ import annotations`: a generator request's "params" shapes are the spec `__init__` annotations.
 import math
 from functools import cache
 from itertools import product
 from operator import mul
 
 from .diamond import HodgeDiamond, _Record, _set, is_int
-from .errors import (
-    DimensionTooSmallError,
-    GroupTooLargeError,
-    ScalarActionError,
-    ValidationError,
-)
+from .errors import DimensionTooSmallError, GroupTooLargeError, ParseError, ScalarActionError, ValidationError
 from .inertia import InertiaComponent, OrbifoldPresentation
 
 #: The one enumeration budget: the group order and the n + 1 coordinates of P^n, whose product
@@ -205,3 +201,53 @@ GENERATORS = {
     "kummer": (KummerSpec, build_kummer),
     "projective_quotient": (ProjectiveQuotientSpec, build_projective_quotient),
 }
+
+
+def _require_int(value: object, where: str) -> int:
+    if not is_int(value):
+        raise ParseError(f"{where}: expected an integer, got {value!r}")
+    return value
+
+
+def _require_str(value: object, where: str) -> str:
+    if not isinstance(value, str):
+        raise ParseError(f"{where}: expected a string, got {value!r}")
+    if not value.isascii() and any("\ud800" <= ch <= "\udfff" for ch in value):  # a JSON \u escape allows these
+        raise ParseError(f"{where}: not UTF-8 text (a lone surrogate in {value!r})")
+    return value
+
+
+def _require_keys(obj: dict, required: set[str], optional: set[str], where: str):
+    if not isinstance(obj, dict):
+        raise ParseError(f"{where}: expected an object, got {type(obj).__name__}")
+    keys = set(obj)
+    missing = required - keys
+    if missing:
+        raise ParseError(f"{where}: missing field(s) {sorted(missing)}")
+    unknown = keys - required - optional
+    if unknown:
+        raise ParseError(f"{where}: unknown field(s) {sorted(unknown)}")
+
+
+def _from_json_shape(value: object, shape: object, where: str) -> object:
+    """`value` as a field of type `shape` (a generator spec field, a sector's exponents): an int, or a tuple."""
+    if shape is int:
+        return _require_int(value, where)
+    item = shape.__args__[0]
+    if not isinstance(value, list):
+        raise ParseError(f"{where}: expected a list of {'integers' if item is int else 'integer rows'}")
+    return tuple([_require_int(v, where) if item is int else _from_json_shape(v, item, where) for v in value])
+
+
+def _presentation_from_generator(obj: dict) -> OrbifoldPresentation:
+    _require_keys(obj, {"family", "params"}, {"name"}, "generator file")
+    family = _require_str(obj["family"], "family")
+    params = obj["params"]
+    name = _require_str(obj["name"], "name") if "name" in obj else None
+    if family not in GENERATORS:
+        raise ParseError(f"unknown generator family {family!r}")
+    spec_type, build = GENERATORS[family]
+    shapes = spec_type.__init__.__annotations__  # real types: this module does not postpone its annotations
+    _require_keys(params, set(shapes), set(), "params")
+    spec = spec_type(*(_from_json_shape(params[name], shape, f"params.{name}") for name, shape in shapes.items()))
+    return build(spec, name=name)

@@ -17,8 +17,8 @@ from orbikit import (
     columns,
     hochschild_via_sectors,
 )
+from orbikit.cli import render_json
 from orbikit.formats import (
-    _diamond_json,
     diamond_from_obj,
     diamond_to_obj,
     dumps,
@@ -32,7 +32,7 @@ from support import K3_DIAMOND, expanded, random_fractional_diamonds, random_pre
 
 
 def reference_dumps(obj) -> str:
-    """The stdlib layout that `dumps` and `_diamond_json` must equal byte for byte."""
+    """The stdlib layout that `dumps` and `cli.render_json` must equal byte for byte."""
     return json.dumps(obj, indent=2, ensure_ascii=True)
 
 
@@ -89,13 +89,13 @@ class TestDiamondFiles:
         ("", HodgeDiamond(1, {(1, 0): 10**4000})),
     ])
     def test_direct_writer_equals_dumps(self, name, d):
-        assert _diamond_json(name, d) == reference_dumps(diamond_to_obj(name, d)) == dumps(diamond_to_obj(name, d))
+        assert render_json(name, d) == reference_dumps(diamond_to_obj(name, d)) == dumps(diamond_to_obj(name, d))
 
     def test_direct_writer_equals_dumps_on_assembled_diamonds(self, rng):
         for _ in range(30):
             p = random_presentation(rng)
             d = assemble_diamond(p)
-            assert _diamond_json(p.name, d) == reference_dumps(diamond_to_obj(p.name, d)) == dumps(diamond_to_obj(p.name, d))
+            assert render_json(p.name, d) == reference_dumps(diamond_to_obj(p.name, d)) == dumps(diamond_to_obj(p.name, d))
 
     def test_random_fractional_diamonds_read_back(self, rng):
         fractional = 0

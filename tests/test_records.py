@@ -19,7 +19,7 @@ from orbikit import (
     SymmetryReport,
     build_kummer,
 )
-from orbikit.catalog import CatalogEntry
+from orbikit.catalog import BUILTINS, CatalogEntry
 
 MISMATCH = Mismatch("entry", (Fraction(1), Fraction(2)), 3, 4)
 MISMATCH_REPR = "Mismatch(constraint='entry', index=(Fraction(1, 1), Fraction(2, 1)), left=3, right=4)"
@@ -95,6 +95,15 @@ def test_keyword_and_positional_construction_agree(cls, kwargs, text):
 @by_class
 def test_repr_is_the_dataclass_text(cls, kwargs, text):
     assert repr(cls(**kwargs)) == text
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_builtin_catalog_entries_hash(name):
+    """A built-in entry's payload is its document, a dict; the hash leaves it out, and equal entries hash equal."""
+    entry = BUILTINS[name]
+    twin = CatalogEntry(entry.name, entry.kind, entry.description, copy.deepcopy(entry.payload))
+    assert twin == entry and hash(twin) == hash(entry) and {entry: name}[twin] == name
+    assert twin != CatalogEntry(entry.name, entry.kind, entry.description, {})
 
 
 def test_equality_reads_every_field_and_the_class():
