@@ -3,7 +3,7 @@
 A user entry NAME.json there is listed with kind "file" and read like its
 path, so it may hold an orbifold file or a diamond file.  `read_json` reads any file strictly, and
 `document_from_obj` picks each document's reader: `quotient` for a generator request, `formats` for an
-explicit orbifold or diamond file.  So a catalog name loads neither `formats` nor `json`.
+explicit orbifold or diamond file.  So reading a catalog name loads neither `formats` nor `json`.
 """
 
 from __future__ import annotations
