@@ -63,14 +63,15 @@ class InertiaComponent(_Record):
 
     def __init__(self, order_l: int, exponents: tuple[int, ...], coarse_diamond: HodgeDiamond, label: str = ""):
         label = str(label)
-        if not is_int(order_l) or order_l < 1:
+        if not (type(order_l) is int or is_int(order_l)) or order_l < 1:  # as `_check_form`: `is_int` only past an exact int
             raise ValidationError(f"sector order must be a positive integer, got {order_l!r}")
         exps = tuple(exponents)
         for a in exps:
-            if not (is_int(a) and 0 <= a < order_l):
+            if not (type(a) is int and 0 <= a < order_l):
                 if not is_int(a):
                     raise ValidationError(f"exponents must be integers, got {a!r}")
-                raise ValidationError(f"exponent {a} outside [0, {order_l - 1}] for order {order_l}")
+                if not 0 <= a < order_l:  # an int subclass in range passes
+                    raise ValidationError(f"exponent {a} outside [0, {order_l - 1}] for order {order_l}")
         # At order 1 the range check leaves only zeros, which pass the checks below.
         n_fixed = exps.count(0)
         if len(exps) - n_fixed == 1:
@@ -82,14 +83,11 @@ class InertiaComponent(_Record):
             )
         if not isinstance(coarse_diamond, HodgeDiamond):
             raise ValidationError("coarse_diamond must be a HodgeDiamond")
-        if not coarse_diamond.is_integer_graded():
+        if coarse_diamond._unit != 1:  # the stored unit, dimension and map: no property or method call
             raise ValidationError("coarse-space diamond must have integer grades only")
-        if coarse_diamond.dim_n != n_fixed:
-            raise ValidationError(
-                f"coarse space has dimension {coarse_diamond.dim_n} "
-                f"but the exponents fix {n_fixed} directions"
-            )
-        if (0, 0) not in coarse_diamond._map:  # a stored-key test: values are positive, grades integral
+        if coarse_diamond._dim_n != n_fixed:
+            raise ValidationError(f"coarse space has dimension {coarse_diamond._dim_n} but the exponents fix {n_fixed} directions")
+        if (0, 0) not in coarse_diamond._map:  # values are positive, grades integral
             raise ValidationError("coarse-space diamond must have h^{0,0} >= 1: a fixed component is never empty")
         _set(self, "order_l", order_l)
         _set(self, "exponents", exps)
@@ -131,7 +129,7 @@ class OrbifoldPresentation(_Record):
         for c, count in sectors:
             if not isinstance(c, InertiaComponent):
                 raise ValidationError("components must be InertiaComponent instances")
-            if not is_int(count) or count < 1:
+            if not (type(count) is int or is_int(count)) or count < 1:
                 raise ValidationError(f"sector count must be a positive integer, got {count!r}")
             if len(c.exponents) != dim_n:
                 raise ValidationError(

@@ -154,19 +154,20 @@ def build_projective_quotient(spec: ProjectiveQuotientSpec, name: str | None = N
         if not any(t):
             components.append(InertiaComponent(1, (0,) * n, projective(n), label="untwisted"))
             continue
-        eig = [sum(map(mul, t, step)) % big for step in steps]
-        chis = sorted(set(eig))
-        if len(chis) == 1:
+        eig = sorted([sum(map(mul, t, step)) % big for step in steps])
+        # Projective order l: least d with all pairwise eigenvalue differences killed mod the big order (1 for a scalar).
+        g0 = math.gcd(big, *[e - eig[0] for e in eig])
+        if g0 == big:
             raise ScalarActionError(f"element with generator powers {t} acts as a scalar on P^{n}")
-        # Projective order l: least d with all pairwise eigenvalue differences killed mod the big order.
-        g0 = math.gcd(big, *(e - eig[0] for e in eig))
         l = big // g0
         t_label = ",".join(map(str, t))
-        for chi in chis:
-            # dim V_chi zeros, one per coordinate of V_chi; P(V_chi) has one tangent direction fewer.
-            exponents = sorted([(e - chi) % big // g0 for e in eig])
+        for j, chi in enumerate(eig):
+            if j and chi == eig[j - 1]:
+                continue
+            # Read off sorted: dim V_chi - 1 zeros, the later eigenvalues' turns, then the earlier ones' past big - chi.
+            exponents = [(e - chi) // g0 for e in eig[j + 1:]] + [(e - chi + big) // g0 for e in eig[:j]]
             label = f"g=({t_label}) eig={chi}"
-            components.append(InertiaComponent(l, exponents[1:], projective(exponents.count(0) - 1), label=label))
+            components.append(InertiaComponent(l, exponents, projective(eig.count(chi) - 1), label=label))
     if name is None:
         if spec.cyclic_orders:
             name = f"p{n}_" + "x".join(f"z{m}" for m in spec.cyclic_orders)

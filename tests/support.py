@@ -210,6 +210,36 @@ def box_sectors(n, orders, weights) -> list[tuple[int, tuple[int, ...], int]]:
     return sorted(sectors)
 
 
+def eigenline_sectors(n, orders, weights) -> list[tuple[int, tuple[int, ...], int, str, int]]:
+    """Sector rows of P^n by a diagonal action of Z/m_1 x ... x Z/m_k, in the builder's order, one sort per eigenline.
+
+    The reference for `build_projective_quotient`'s order and labels. Element by element in product order, the
+    identity gives the untwisted row and every other element turns coordinate i by the exponent eig_i of
+    zeta_big, big the lcm of the orders; each distinct eig value chi, ascending, gives P(V_chi) with the sorted
+    differences (eig_i - chi) mod big divided by g0 = gcd(big, eig_i - eig_0), one of their zeros left out.
+    Raises ScalarActionError for a nonidentity element with a single eigenvalue and PseudoReflectionError for a
+    row with a single nonzero exponent, with the builder's messages, made here. Returns the rows
+    (order, exponents, coarse dimension, label, count) with every count 1.
+    """
+    big = math.lcm(1, *orders)
+    rows = []
+    for t in product(*(range(m) for m in orders)):
+        if not any(t):
+            rows.append((1, (0,) * n, n, "untwisted", 1))
+            continue
+        eig = [sum((big // m) * tj * row[i] for tj, m, row in zip(t, orders, weights)) % big for i in range(n + 1)]
+        if len(set(eig)) == 1:
+            raise ScalarActionError(f"element with generator powers {t} acts as a scalar on P^{n}")
+        g0 = math.gcd(big, *(e - eig[0] for e in eig))
+        for chi in sorted(set(eig)):
+            exponents = sorted((e - chi) % big // g0 for e in eig)
+            label, exps = f"g=({','.join(map(str, t))}) eig={chi}", tuple(exponents[1:])
+            if len(exps) - exps.count(0) == 1:
+                raise PseudoReflectionError(f"sector {label!r} with exponents {exps} fixes a codimension-one locus")
+            rows.append((big // g0, exps, exponents.count(0) - 1, label, 1))
+    return rows
+
+
 def enumerate_matching_diamonds(n, column_vector, h01=None, limit=2):
     """Brute-force every integer diamond with h^{0,0} = 1, both symmetries,
     the given column sums and (optionally) the given (0, 1) entry.

@@ -208,6 +208,26 @@ class TestConstructorRefusals:
         with pytest.raises(ValidationError, match=r"^exponents must be integers, got 1\.0$"):
             InertiaComponent(2, (1, 1.0), POINT)
 
+    # The order and exponent checks test `type(x) is int` first; these pin what the `is_int` fallback decides.
+    class Int(int):
+        pass
+
+    def test_bool_exponent(self):
+        with pytest.raises(ValidationError, match=r"^exponents must be integers, got True$"):
+            InertiaComponent(2, (1, True), POINT)
+
+    def test_bool_order(self):
+        with pytest.raises(ValidationError, match=r"^sector order must be a positive integer, got True$"):
+            InertiaComponent(True, (0, 0), HodgeDiamond.projective_space(2))
+
+    def test_int_subclass_exponent_in_range_is_kept(self):
+        c = InertiaComponent(2, (1, self.Int(1)), POINT)
+        assert c.exponents == (1, 1) and type(c.exponents[1]) is self.Int
+
+    def test_int_subclass_exponent_out_of_range(self):
+        with pytest.raises(ValidationError, match=r"^exponent 2 outside \[0, 1\] for order 2$"):
+            InertiaComponent(2, (1, self.Int(2)), POINT)
+
     def test_coarse_diamond_of_another_type(self):
         with pytest.raises(ValidationError, match=r"^coarse_diamond must be a HodgeDiamond$"):
             InertiaComponent(1, (0, 0), {(0, 0): 1})

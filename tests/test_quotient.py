@@ -26,7 +26,7 @@ from orbikit import (
     is_gorenstein,
     stringy_e,
 )
-from support import K3_DIAMOND, KUMMER3_DIAMOND, P2_MU3_DIAMOND, box_sectors, expanded
+from support import K3_DIAMOND, KUMMER3_DIAMOND, P2_MU3_DIAMOND, box_sectors, eigenline_sectors, expanded
 
 
 def spec(n, orders, weights):
@@ -277,6 +277,35 @@ class TestPinnedOutput:
             outcomes["built"] += 1
         # Each outcome occurs often enough to count (27 scalar actions is the fewest at this seed).
         assert min(outcomes[k] for k in ("built", "ScalarActionError", "PseudoReflectionError")) >= 20
+
+    def test_eigenline_reference_on_random_specs(self):
+        """The builder against a sort per eigenline: the same rows in the same order, labels and counts
+        included, or the same error type and message."""
+        rng = random.Random(20261020)
+        outcomes = Counter()
+        for _ in range(300):
+            n = rng.randint(1, 5)
+            orders = [rng.choice([2, 3, 4, 5, 6, 7, 8, 9, 10, 12]) for _ in range(rng.randint(1, 2))]
+            weights = []
+            for m in orders:
+                row = [rng.randrange(m)]
+                for _ in range(n):  # about a third of the coordinates repeat an earlier weight
+                    row.append(rng.choice(row) if rng.random() < 0.3 else rng.randrange(m))
+                weights.append(row)
+            try:
+                expected = eigenline_sectors(n, orders, weights)
+            except ValidationError as exc:
+                with pytest.raises(ValidationError) as caught:
+                    build_projective_quotient(spec(n, orders, weights))
+                assert (type(caught.value), str(caught.value)) == (type(exc), str(exc)), (n, orders, weights)
+                outcomes[type(exc).__name__] += 1
+                continue
+            p = build_projective_quotient(spec(n, orders, weights))
+            rows = [(c.order_l, c.exponents, c.coarse_diamond.dim_n, c.label, count) for c, count in p.sectors]
+            assert rows == expected, (n, orders, weights)
+            outcomes["built"] += 1
+            outcomes["repeated weights"] += any(len(set(row)) <= n for row in weights)
+        assert min(outcomes[k] for k in ("built", "ScalarActionError", "PseudoReflectionError", "repeated weights")) >= 20
 
 
 class TestKummer:
