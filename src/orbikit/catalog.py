@@ -11,6 +11,7 @@ from __future__ import annotations
 import os
 from collections import Counter
 from pathlib import Path
+from stat import S_ISREG
 from typing import Any
 
 from .diamond import HodgeDiamond, _Record, _set
@@ -30,9 +31,6 @@ class CatalogEntry(_Record):
         _set(self, "kind", kind)  # "orbifold", "columns" or "file" (a user entry)
         _set(self, "description", description)
         _set(self, "payload", payload)  # the document itself, or the file of a "file" entry
-
-    def __eq__(self, other) -> bool:
-        return self.__reduce__() == other.__reduce__() if isinstance(other, CatalogEntry) else NotImplemented
 
     def __hash__(self) -> int:  # not the payload: a built-in entry's is its document, a dict
         return hash((self.name, self.kind, self.description))
@@ -118,9 +116,12 @@ def loads(text: str) -> Any:
 
 
 def read_json(path: Path) -> Any:
-    """`loads` of a UTF-8 file; other encodings and unreadable paths are ParseErrors."""
-    try:
-        text = path.read_text(encoding="utf-8")
+    """`loads` of a UTF-8 regular file; other encodings, other kinds of file and unreadable paths are ParseErrors."""
+    try:  # opened without waiting and checked before reading: a FIFO or a device may block or never end
+        with open(os.open(path, os.O_RDONLY | getattr(os, "O_NONBLOCK", 0)), encoding="utf-8") as file:  # none on Windows
+            if not S_ISREG(os.fstat(file.fileno()).st_mode):
+                raise ParseError(f"{path}: not a regular file")
+            text = file.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     except OSError as exc:

@@ -271,20 +271,22 @@ def main(argv=None) -> int:
         sys.stdout.flush()
         return code
     except OrbikitError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return exc.exit_code
+        message, code = f"{type(exc).__name__}: {exc}", exc.exit_code
     except OSError as exc:
         # The reader left (e.g. `| head`) or the device is full.  Point stdout at devnull so that
         # the interpreter's flush at exit finds nothing left to fail on.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
         reason = "closed early" if isinstance(exc, BrokenPipeError) else f"failed ({exc.strerror})"
-        print(f"error: {type(exc).__name__}: standard output {reason}", file=sys.stderr)
-        return 2
+        message, code = f"{type(exc).__name__}: standard output {reason}", 2
     except UnicodeEncodeError:  # e.g. a non-ASCII name under an ASCII locale
-        print(f"error: UnicodeEncodeError: standard output cannot encode the output ({sys.stdout.encoding})", file=sys.stderr)
-        return 2
+        message, code = f"UnicodeEncodeError: standard output cannot encode the output ({sys.stdout.encoding})", 2
+    try:
+        print(f"error: {message}", file=sys.stderr)
+    except OSError:  # standard error is a closed pipe too (e.g. `2>&1 | head`): drop the line, keep the code
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stderr.fileno())
+    return code
 
 
 if __name__ == "__main__":

@@ -36,6 +36,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import partial
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, Tuple, Union
 
@@ -162,18 +163,16 @@ class _SparseMap:
     Subclasses validate their entries and pass them to `_SparseMap.__init__`,
     which drops zeros and sorts.  Equality and hashing see the class, `dim_n`
     (None for StringyPolynomial, which has no dimension), the map and its
-    key `_unit` (1 unless the keys are lattice points); nothing else.
-    Instances are immutable, so the hash is computed once.  `check_printable`
-    refuses a value that `str` may not print, so every stored value can be output.
+    key `_unit` (1 unless the keys are lattice points); nothing else.  Instances are immutable.
+    `check_printable` refuses a value that `str` may not print, so every stored value can be output.
     """
 
-    __slots__ = ("_dim_n", "_unit", "_map", "_hash")
+    __slots__ = ("_dim_n", "_unit", "_map")
 
     def __init__(self, dim_n: int | None, cleaned: Mapping, unit: int = 1):
         self._dim_n = dim_n
         self._unit = unit
         self._map = {k: v for k, v in sorted(cleaned.items()) if v}
-        self._hash = None
         check_printable(max(map(abs, self._map.values()), default=0), "a value")
 
     @property
@@ -201,9 +200,7 @@ class _SparseMap:
         return self._dim_n == other._dim_n and self._unit == other._unit and self._map == other._map
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self._dim_n, self._unit, frozenset(self._map.items())))
-        return self._hash
+        return hash((self._dim_n, self._unit, frozenset(self._map.items())))
 
     def __repr__(self) -> str:
         body = ", ".join(f"{_format_key(k)}: {v}" for k, v in self.items())
@@ -387,20 +384,20 @@ class _Record:
     """Frozen `__slots__` record: equality, hashing, `repr` and pickling over its public slots, in order.
 
     They are the `__init__` parameters, so a copy or an unpickled record passes the checks again.
-    A subclass may define its own `__repr__`, or its own `__eq__` with its `__hash__`.
+    A subclass may define its own `__repr__` or `__hash__`, or its own `__eq__` with its `__hash__`.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls):
-        cls._fields = names = tuple(name for name in cls.__slots__ if name[0] != "_")
-        if "__eq__" not in cls.__dict__:
-            # Generated source reads each slot directly: an `attrgetter` made `==` and `hash` up to 2x slower.
-            mine, theirs = ("".join(f"{who}.{name}, " for name in names) for who in ("self", "other"))
-            cls.__eq__, cls.__hash__ = eval(
-                f"lambda self, other: ({mine}) == ({theirs}) if other.__class__ is self.__class__ else NotImplemented, "
-                f"lambda self: hash(({mine}))"
-            )
+        cls._fields = tuple(name for name in cls.__slots__ if name[0] != "_")
+        cls._values = attrgetter(*cls._fields)
+
+    def __eq__(self, other) -> bool:
+        return self._values(self) == other._values(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"field {name!r} is read-only")

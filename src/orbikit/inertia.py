@@ -113,12 +113,12 @@ class OrbifoldPresentation(_Record):
     `sectors` holds (component, count) pairs: `count` isomorphic copies of
     one component, stored once and never expanded.  The constructor takes
     components (count 1) or pairs, kept as given in input order; equality
-    and hashing compare the merged multisets, computed once on first use,
-    and `assemble_diamond` keeps its diamond the same way.  The untwisted
+    and hashing compare the merged multisets, merged on each call, and
+    `assemble_diamond` keeps the diamond it computes on first use.  The untwisted
     counts add up to exactly one, and every exponent list has length `dim_n`.
     """
 
-    __slots__ = ("dim_n", "sectors", "name", "_multiset", "_diamond")
+    __slots__ = ("dim_n", "sectors", "name", "_diamond")
 
     def __init__(self, dim_n: int, sectors: tuple[tuple[InertiaComponent, int], ...], name: str = ""):
         check_dim(dim_n)
@@ -142,7 +142,6 @@ class OrbifoldPresentation(_Record):
         _set(self, "dim_n", dim_n)
         _set(self, "sectors", sectors)
         _set(self, "name", str(name))
-        _set(self, "_multiset", None)
         _set(self, "_diamond", None)
 
     @property
@@ -151,12 +150,10 @@ class OrbifoldPresentation(_Record):
 
     def _key(self) -> tuple:
         # Order and splitting of the pairs are presentation-irrelevant.
-        if self._multiset is None:
-            merged: dict[InertiaComponent, int] = {}
-            for c, count in self.sectors:
-                merged[c] = merged.get(c, 0) + count
-            _set(self, "_multiset", frozenset(merged.items()))
-        return (self.dim_n, self.name, self._multiset)
+        merged: dict[InertiaComponent, int] = {}
+        for c, count in self.sectors:
+            merged[c] = merged.get(c, 0) + count
+        return (self.dim_n, self.name, frozenset(merged.items()))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, OrbifoldPresentation):

@@ -586,6 +586,38 @@ class TestInputs:
             assert (proc.returncode, proc.stderr) == (0, "")
             assert proc.stdout == (GOLDEN_DIR / golden).read_text(encoding="utf-8")
 
+    def test_catalog_entries_that_are_not_regular_files_are_refused_like_their_paths(self, tmp_path):
+        # A FIFO blocks a reader and /dev/zero never ends: each call runs in a subprocess with a timeout
+        # and an address-space limit, so that a regression fails here instead of hanging or swapping.
+        if hasattr(os, "mkfifo"):
+            os.mkfifo(tmp_path / "f.json")
+        if os.path.exists("/dev/zero"):
+            (tmp_path / "z.json").symlink_to("/dev/zero")
+        names = sorted(path.stem for path in tmp_path.iterdir())
+        if not names:
+            pytest.skip("neither os.mkfifo nor /dev/zero")
+
+        resource = pytest.importorskip("resource")
+
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        def run(*argv):
+            return subprocess.run([sys.executable, *argv], capture_output=True, text=True, timeout=15,
+                                  env={**os.environ, "ORBIKIT_CATALOG_DIR": str(tmp_path)},
+                                  preexec_fn=limit_address_space)
+
+        for name in names:
+            message = f"{tmp_path / name}.json: not a regular file"
+            for source in (name, f"{tmp_path / name}.json"):
+                proc = run("-m", "orbikit", "diamond", source)
+                assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: ParseError: {message}\n")
+            proc = run("-c", f"from orbikit.catalog import *; load_catalog_presentation(catalog_entries()[{name!r}])")
+            assert proc.returncode == 1 and proc.stderr.endswith(f"orbikit.errors.ParseError: {message}\n")
+        proc = run("-m", "orbikit", "catalog", "--format", "json")
+        kinds = {e["name"]: e["kind"] for e in json.loads(proc.stdout)["entries"]}
+        assert proc.returncode == 0 and [kinds[name] for name in names] == ["file"] * len(names)
+
     def test_user_catalog_entry_replaces_a_builtin(self, tmp_path, monkeypatch):
         path = tmp_path / "kummer2.json"
         path.write_text(json.dumps({"family": "kummer", "params": {"torus_dim_n": 3}}))
@@ -795,6 +827,28 @@ class TestClosedStdout:
         proc.stderr.close()
         assert proc.wait(timeout=60) == 2
         assert err.splitlines() == ["error: BrokenPipeError: standard output closed early"]
+
+    def test_stdout_and_stderr_on_one_closed_pipe(self, tmp_path):
+        # `2>&1 | head -c 100`: the error line meets the same closed pipe, and the exit code stays 2.
+        path = tmp_path / "gen2003.json"
+        path.write_text(json.dumps(_pquot_file(orders=[2003], weights=[[0, 1, 5]])))
+        proc = subprocess.Popen([sys.executable, "-m", "orbikit", "diamond", str(path), "--format", "json"],
+                                stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 2
+
+    @pytest.mark.parametrize("argv, code", [
+        (["diamond", "no-such-entry"], 2),
+        (["partners", "kummer2", "kummer3"], 4),
+        (["reconstruct", "--dim", "4", "--columns", "0:2"], 5),
+    ], ids=["parse", "mismatch", "unsupported"])
+    def test_error_line_on_a_closed_pipe_keeps_the_exit_code(self, argv, code):
+        # Standard error is a pipe with no reader left (e.g. `2>&1 | true`): the line is dropped, the code kept.
+        proc = subprocess.Popen([sys.executable, "-m", "orbikit", *argv], stdout=subprocess.PIPE,
+                                stderr=subprocess.STDOUT)
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == code
 
 
 class TestUnencodableOutput:

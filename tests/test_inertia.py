@@ -146,20 +146,19 @@ class TestPresentationValueSemantics:
 
     def test_copy_and_pickle_round_trips(self, rng):
         for p in (build_kummer(3), random_presentation(rng)):
-            hash(p)  # fill the multiset cache first
-            d = assemble_diamond(p)  # and the kept diamond
+            d = assemble_diamond(p)  # fill the kept diamond first
             for q in (copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
                 assert q == p and hash(q) == hash(p) and q.sectors == p.sectors
                 assert assemble_diamond(q) == d and assemble_diamond(q).level == d.level
 
     def test_replace_starts_a_fresh_multiset(self):
-        # A copy with one field replaced is built with the constructor; it keeps neither cache.
+        # A copy with one field replaced is built with the constructor; it does not keep the diamond.
         a = InertiaComponent(2, (1, 1), POINT, label="a")
         p = OrbifoldPresentation(2, [untwisted(2), (a, 3)], name="x")
         hash(p)
         d = assemble_diamond(p)
         renamed = OrbifoldPresentation(p.dim_n, p.sectors, name="y")
-        assert renamed._multiset is None and renamed._diamond is None
+        assert renamed._diamond is None
         assert renamed == OrbifoldPresentation(2, [untwisted(2), (a, 3)], name="y") != p
         assert assemble_diamond(renamed) == d and assemble_diamond(renamed) is not d
         fewer = OrbifoldPresentation(p.dim_n, [untwisted(2), (a, 2)], name=p.name)

@@ -61,6 +61,23 @@ RECORDS = [
 
 by_class = pytest.mark.parametrize("cls, kwargs, text", RECORDS, ids=[cls.__name__ for cls, _, _ in RECORDS])
 
+(KUMMER2_UNTWISTED, _), (KUMMER2_TWISTED, _) = build_kummer(2).sectors
+
+#: Per record class: another valid value for each field of the `RECORDS` instance, to be changed alone.
+#: `OrbifoldPresentation.dim_n` and `ProjectiveQuotientSpec.proj_dim_n` are left out: the length of
+#: each exponent or weight list is checked against them, so neither can change alone.
+OTHER_VALUES = {
+    SymmetryReport: dict(serre=False, hodge=True),
+    InertiaComponent: dict(order_l=4, exponents=(2, 1), coarse_diamond=HodgeDiamond(0, {(0, 0): 2}), label="y"),
+    OrbifoldPresentation: dict(sectors=((KUMMER2_UNTWISTED, 1), (KUMMER2_TWISTED, 15)), name="other"),
+    ProjectiveQuotientSpec: dict(cyclic_orders=[5], weights=[[0, 2, 1]]),
+    KummerSpec: dict(torus_dim_n=2),
+    CatalogEntry: dict(name="other", kind="orbifold", description="other", payload=Path("other.json")),
+    Mismatch: dict(constraint="h01", index=(0, 1), left=5, right=6),
+    PartnerReport: dict(failures=(), informational=(), strict_equal=True),
+    McKayReport: dict(differences=()),
+}
+
 
 @by_class
 def test_fields_can_be_neither_assigned_nor_deleted(cls, kwargs, text):
@@ -113,3 +130,14 @@ def test_equality_reads_every_field_and_the_class():
     assert Mismatch("h01", (0, 1), 1, 0) != Mismatch("h01", (0, 1), 1, 2)
     assert KummerSpec(2) != McKayReport(2) and KummerSpec(2) != 2
     assert SymmetryReport(True, True) == SymmetryReport(serre=True, hodge=True)
+
+
+@by_class
+def test_each_field_changed_alone_gives_an_unequal_record(cls, kwargs, text):
+    record, others = cls(**kwargs), OTHER_VALUES[cls]
+    assert set(others) == set(cls._fields) - {"dim_n", "proj_dim_n"}
+    for name, value in others.items():
+        changed = cls(**{**kwargs, name: value})
+        assert changed != record and not changed == record and getattr(changed, name) != getattr(record, name), name
+        if (cls, name) == (CatalogEntry, "payload"):  # the hash leaves the payload out
+            assert hash(changed) == hash(record)
