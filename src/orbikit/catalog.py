@@ -11,7 +11,6 @@ from __future__ import annotations
 import os
 from collections import Counter
 from pathlib import Path
-from stat import S_ISREG
 from typing import Any
 
 from .diamond import HodgeDiamond, _Record, _set
@@ -37,7 +36,9 @@ class CatalogEntry(_Record):
 
     def document(self) -> Any:
         """The JSON document this entry loads as; a "columns" entry loads as none."""
-        if self.kind == "file":
+        if self.kind == "file":  # a FIFO may block a reader and a device never end: refused like a path
+            if os.path.exists(self.payload) and not os.path.isfile(self.payload):
+                raise ParseError(f"{self.payload}: not a regular file")
             return read_json(self.payload)
         if self.kind != "orbifold":
             raise ParseError(f"catalog entry {self.name!r} is not an orbifold (kind: {self.kind})")
@@ -116,12 +117,9 @@ def loads(text: str) -> Any:
 
 
 def read_json(path: Path) -> Any:
-    """`loads` of a UTF-8 regular file; other encodings, other kinds of file and unreadable paths are ParseErrors."""
-    try:  # opened without waiting and checked before reading: a FIFO or a device may block or never end
-        with open(os.open(path, os.O_RDONLY | getattr(os, "O_NONBLOCK", 0)), encoding="utf-8") as file:  # none on Windows
-            if not S_ISREG(os.fstat(file.fileno()).st_mode):
-                raise ParseError(f"{path}: not a regular file")
-            text = file.read()
+    """`loads` of a UTF-8 file; other encodings and unreadable paths are ParseErrors."""
+    try:
+        text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     except OSError as exc:
