@@ -89,10 +89,10 @@ class InertiaComponent(_Record):
             raise ValidationError(f"coarse space has dimension {coarse_diamond._dim_n} but the exponents fix {n_fixed} directions")
         if (0, 0) not in coarse_diamond._map:  # values are positive, grades integral
             raise ValidationError("coarse-space diamond must have h^{0,0} >= 1: a fixed component is never empty")
-        _set(self, "order_l", order_l)
-        _set(self, "exponents", exps)
-        _set(self, "coarse_diamond", coarse_diamond)
-        _set(self, "label", label)
+        _set_order_l(self, order_l)
+        _set_exponents(self, exps)
+        _set_coarse_diamond(self, coarse_diamond)
+        _set_label(self, label)
 
     @property
     def is_untwisted(self) -> bool:
@@ -105,6 +105,12 @@ class InertiaComponent(_Record):
     def sort_key(self):
         """Canonical ordering key: (order, exponents, label)."""
         return (self.order_l, self.exponents, self.label)
+
+
+# The slot descriptors' own setters: one call each, no attribute lookup by name as in `_set`.
+_set_order_l, _set_exponents, _set_coarse_diamond, _set_label = (
+    getattr(InertiaComponent, name).__set__ for name in InertiaComponent.__slots__
+)
 
 
 class OrbifoldPresentation(_Record):
@@ -184,38 +190,56 @@ def assemble_diamond(p: OrbifoldPresentation) -> HodgeDiamond:
     h^{p,q}_orb = sum over sectors Z of h^{p - a(Z), q - a(Z)}(Z), realized
     by adding each coarse entry (p', q') times the sector's count at
     (p' + a, q' + a).  The level of the result is the lcm of the sector
-    orders; the shifted grades of the integer-graded coarse diamonds are
-    summed as integers on (1/level)Z and stored unchecked on (1/unit)Z, unit
-    the lcm of the ages' reduced denominators: canonical, as every age is a
-    stored grade (h^{0,0} >= 1).
+    orders.  One pass over the sectors sums each sector's count under its
+    shift a·level on (1/level)Z, per shared coarse diamond object; each
+    coarse diamond is then read once and expanded once per distinct shift,
+    as integers stored unchecked on (1/unit)Z, unit the lcm of the ages'
+    reduced denominators (the level itself when no age reduces): canonical,
+    as every age is a stored grade (h^{0,0} >= 1).
     A presentation keeps its diamond: later calls return that one object.
 
     Raises OutOfRangeError if a shifted grade leaves [0, n], the one range
-    check of assembled grades.  Valid components never trigger this (the
-    shift is strictly smaller than the codimension), so it signals
-    inconsistent input, e.g. a sector swapped with its inverse by
-    hand-edited exponents.
+    check of assembled grades, made per sector in sector order.  Valid
+    components never trigger this (the shift is strictly smaller than the
+    codimension), so it signals inconsistent input, e.g. a sector swapped
+    with its inverse by hand-edited exponents.
     """
     if (made := getattr(p, "_diamond", None)) is not None:  # a duck-typed stand-in has no slot, keeps nothing
         return made
     n = p.dim_n
     level = _bounded_lcm((c.order_l for c, _ in p.sectors), lambda: sum(len(c.coarse_diamond._map) for c, _ in p.sectors))
-    top, unit = n * level, 1
-    acc: dict[tuple[int, int], int] = {}
+    top = n * level
+    groups: dict[int, tuple[HodgeDiamond, dict[int, int]]] = {}  # id(coarse) -> (coarse, {shift: count})
+    denominators, reduced = set(), False
     for c, count in p.sectors:
-        age = sum(c.exponents)
-        shift = age * (level // c.order_l)
-        unit = math.lcm(unit, c.order_l // math.gcd(c.order_l, age))  # the denominator of the age in lowest terms
-        for (i, j), h in c.coarse_diamond.lattice()[1].items():
-            kp, kq = i * level + shift, j * level + shift
-            if not (0 <= kp <= top and 0 <= kq <= top):
-                raise OutOfRangeError(
-                    f"sector {c.label!r} shifts ({i},{j}) to "
-                    f"{_format_key((Fraction(kp, level), Fraction(kq, level)))} outside [0, {n}]"
-                )
-            acc[(kp, kq)] = acc.get((kp, kq), 0) + h * count
-    if (scale := level // unit) > 1:
-        acc = {(a // scale, c // scale): h for (a, c), h in acc.items()}
+        l, age, coarse = c.order_l, sum(c.exponents), c.coarse_diamond
+        if (g := math.gcd(l, age)) != 1:
+            reduced = True
+        denominators.add(l // g)  # the denominator of the age in lowest terms
+        shift = age * (level // l)
+        # A stored coordinate lies in [0, dim·unit]: only past this bound can an entry leave [0, top].
+        if shift < 0 or shift + level * coarse._dim_n * coarse._unit > top:
+            for (i, j), h in coarse.lattice()[1].items():
+                kp, kq = i * level + shift, j * level + shift
+                if not (0 <= kp <= top and 0 <= kq <= top):
+                    raise OutOfRangeError(
+                        f"sector {c.label!r} shifts ({i},{j}) to "
+                        f"{_format_key((Fraction(kp, level), Fraction(kq, level)))} outside [0, {n}]"
+                    )
+        if (group := groups.get(id(coarse))) is None:
+            groups[id(coarse)] = (coarse, {shift: count})
+        else:
+            group[1][shift] = group[1].get(shift, 0) + count
+    unit = math.lcm(*denominators) if reduced else level
+    scale = level // unit  # divides every shift, as the unit holds every age's denominator
+    acc: dict[tuple[int, int], int] = {}
+    for coarse, shifts in groups.values():
+        shifts = [(s // scale, count) for s, count in shifts.items()]
+        for (i, j), h in coarse.lattice()[1].items():
+            i, j = i * unit, j * unit
+            for s, count in shifts:
+                key = (i + s, j + s)
+                acc[key] = acc.get(key, 0) + h * count
     made = HodgeDiamond._from_lattice(n, unit, acc)
     made._level = level  # the lcm of the sector orders, a multiple of the unit
     if isinstance(p, OrbifoldPresentation):

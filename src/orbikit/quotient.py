@@ -30,7 +30,6 @@ __all__ = [
 import math
 from functools import cache
 from itertools import product
-from operator import mul
 
 from .diamond import HodgeDiamond, _Record, _set, is_int
 from .errors import DimensionTooSmallError, GroupTooLargeError, ParseError, ScalarActionError, ValidationError
@@ -130,6 +129,10 @@ def build_projective_quotient(spec: ProjectiveQuotientSpec, name: str | None = N
     the differences (chi' - chi) scaled to [0, l - 1], one per coordinate
     in the other eigenspaces, padded with dim V_chi - 1 zeros along the
     component.  The identity element contributes the untwisted P^n sector.
+    Each element sums one precomputed row per generator power (Σm_j rows)
+    and sorts its n + 1 eigenvalues once; their turns past the smallest,
+    on Z/l, are doubled by one full turn, so each eigenspace's exponents
+    are the next n turns less its own, already sorted.
 
     Raises ScalarActionError if a nonidentity element acts as a scalar
     (the action would not be effective on P^n).  If g fixes a hyperplane
@@ -144,30 +147,33 @@ def build_projective_quotient(spec: ProjectiveQuotientSpec, name: str | None = N
     if order * (n + 1) > 4 * MAX_GROUP_ORDER:  # every order the budget admits still acts on P^3
         raise GroupTooLargeError(f"group order {order} times {n + 1} coordinates exceeds the limit {4 * MAX_GROUP_ORDER}")
     big = math.lcm(1, *spec.cyclic_orders)
-    # Per coordinate i, the exponent of zeta_big by which each generator turns it.
-    steps = list(zip(*([(big // m) * w for w in row] for m, row in zip(spec.cyclic_orders, spec.weights))))
+    # Per generator, one row per power k: the exponent of zeta_big by which g^k turns each coordinate.
+    powers = [[[k * (big // m) * w % big for w in row] for k in range(m)] for m, row in zip(spec.cyclic_orders, spec.weights)]
     # Every fixed component is a P^k, k <= n: one shared diamond per k, built on first use.
     projective = cache(HodgeDiamond.projective_space)
 
-    components: list[InertiaComponent] = []
-    for t in product(*(range(m) for m in spec.cyclic_orders)):
+    components: list[tuple[InertiaComponent, int]] = []
+    for t, rows in zip(product(*(range(m) for m in spec.cyclic_orders)), product(*powers)):
         if not any(t):
-            components.append(InertiaComponent(1, (0,) * n, projective(n), label="untwisted"))
+            components.append((InertiaComponent(1, (0,) * n, projective(n), label="untwisted"), 1))
             continue
-        eig = sorted([sum(map(mul, t, step)) % big for step in steps])
+        eig = sorted([sum(turn) % big for turn in zip(*rows)])
+        diffs = [e - eig[0] for e in eig]
         # Projective order l: least d with all pairwise eigenvalue differences killed mod the big order (1 for a scalar).
-        g0 = math.gcd(big, *[e - eig[0] for e in eig])
+        g0 = math.gcd(big, *diffs)
         if g0 == big:
             raise ScalarActionError(f"element with generator powers {t} acts as a scalar on P^{n}")
         l = big // g0
+        turns = [d // g0 for d in diffs]  # each eigenvalue's turn past eig[0] on Z/l, sorted in [0, l)
+        turns += [x + l for x in turns]  # doubled: the earlier eigenvalues once more, one full turn on
         t_label = ",".join(map(str, t))
         for j, chi in enumerate(eig):
             if j and chi == eig[j - 1]:
                 continue
-            # Read off sorted: dim V_chi - 1 zeros, the later eigenvalues' turns, then the earlier ones' past big - chi.
-            exponents = [(e - chi) // g0 for e in eig[j + 1:]] + [(e - chi + big) // g0 for e in eig[:j]]
+            # Read off sorted: dim V_chi - 1 zeros, the later eigenvalues' turns, then the earlier ones' past a full turn.
+            exponents = tuple([x - turns[j] for x in turns[j + 1:j + 1 + n]])
             label = f"g=({t_label}) eig={chi}"
-            components.append(InertiaComponent(l, exponents, projective(eig.count(chi) - 1), label=label))
+            components.append((InertiaComponent(l, exponents, projective(eig.count(chi) - 1), label=label), 1))
     if name is None:
         if spec.cyclic_orders:
             name = f"p{n}_" + "x".join(f"z{m}" for m in spec.cyclic_orders)

@@ -381,6 +381,47 @@ class TestAssembleDiamond:
         with pytest.raises(OutOfRangeError, match=r"'rogue' shifts \(1,1\) to \(5/2,5/2\)"):
             assemble_diamond(fake)
 
+    @staticmethod
+    def rogue(exponents, coarse, label="rogue"):
+        """A point sector of order 4 whose exponents and coarse diamond are then changed past validation."""
+        made = InertiaComponent(4, (1, 3), POINT, label=label)
+        object.__setattr__(made, "exponents", exponents)
+        object.__setattr__(made, "coarse_diamond", coarse)
+        return made
+
+    def test_the_first_out_of_range_sector_and_entry_are_named(self):
+        # Shift 3/2: the entry (0,0) lands at (3/2,3/2) inside [0, 2], the entry (1,1) outside.
+        line = HodgeDiamond(1, {(0, 0): 1, (1, 1): 1})
+        sectors = [
+            untwisted(2),
+            (InertiaComponent(3, (1, 2), POINT, label="in range"), 3),
+            self.rogue((3, 3), line, label="first"),
+            self.rogue((3, 3), HodgeDiamond(0, {(0, 0): 1}), label="in range too"),
+            self.rogue((3, 3), line, label="second"),
+        ]
+        with pytest.raises(OutOfRangeError) as raised:
+            assemble_diamond(OrbifoldPresentation(2, sectors))
+        assert str(raised.value) == "sector 'first' shifts (1,1) to (5/2,5/2) outside [0, 2]"
+
+    def test_the_range_bound_counts_the_coarse_unit(self):
+        # A fractional coarse diamond stores coordinates up to dim·unit = 2, each read as a grade: (2,2) + 1 leaves [0, 2].
+        halves = HodgeDiamond(1, {(Fraction(1, 2), Fraction(1, 2)): 1, (1, 1): 1})
+        with pytest.raises(OutOfRangeError) as raised:
+            assemble_diamond(OrbifoldPresentation(2, [untwisted(2), self.rogue((1, 3), halves)]))
+        assert str(raised.value) == "sector 'rogue' shifts (2,2) to (3,3) outside [0, 2]"
+
+    def test_a_negative_shift_whose_entries_stay_in_range_assembles(self):
+        # Age -2/4: the one entry (1,1) lands at (1/2,1/2).
+        p = OrbifoldPresentation(2, [untwisted(2), (self.rogue((-3, 1), HodgeDiamond(1, {(1, 1): 1})), 2)])
+        d = TestFractionReference.assert_matches_reference(p)
+        assert d.entry(Fraction(1, 2), Fraction(1, 2)) == 2
+
+    @pytest.mark.parametrize("exponents", [(1, 3), (-3, 1)])
+    def test_an_empty_coarse_diamond_adds_nothing(self, exponents):
+        p = OrbifoldPresentation(2, [untwisted(2), self.rogue(exponents, HodgeDiamond(0, {}))])
+        d = assemble_diamond(p)
+        assert list(d.items()) == list(HodgeDiamond.projective_space(2).items()) and d.level == 4
+
 
 class TestFractionReference:
     """The integer-lattice sums against `support.reference_assembly`."""
@@ -390,6 +431,8 @@ class TestFractionReference:
         entries, level, terms = reference_assembly(p)
         d = assemble_diamond(p)
         assert list(d.items()) == entries and d.level == level
+        # The unit is canonical: the lcm of the reduced denominators of the stored grades.
+        assert d.lattice()[0] == math.lcm(1, *(x.denominator for key, _ in entries for x in key))
         e = stringy_e(p)
         assert dict(e.items()) == terms and list(e.keys()) == sorted(terms)
         # The stringy sign (-1)^{p'+q'} is (-1)^{p-q} of the shifted key.
@@ -400,6 +443,7 @@ class TestFractionReference:
             assert made == checked and hash(made) == hash(checked)
             assert made.lattice() == checked.lattice() and repr(made) == repr(checked)
         assert d.level == checked_d.level
+        return d
 
     def test_random_presentations_repeated_and_paired(self, rng):
         gorenstein = []
@@ -426,6 +470,36 @@ class TestFractionReference:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_kummer(self, n):
         self.assert_matches_reference(build_kummer(n))
+
+    def test_no_age_reduces_so_the_unit_is_the_level(self):
+        # Ages 2/3 and 2/5 are in lowest terms, as is the untwisted 0/1.
+        p = OrbifoldPresentation(2, [untwisted(2), InertiaComponent(3, (1, 1), POINT), InertiaComponent(5, (1, 1), POINT)])
+        d = self.assert_matches_reference(p)
+        assert d.lattice()[0] == d.level == 15
+
+    def test_a_reduced_age_puts_the_unit_below_the_level(self):
+        # Order 4 with age 2 is the grade 1/2; with the age 2/3 the unit is 6, the level 12.
+        p = OrbifoldPresentation(2, [untwisted(2), InertiaComponent(4, (1, 1), POINT), InertiaComponent(3, (1, 1), POINT)])
+        d = self.assert_matches_reference(p)
+        assert (d.lattice()[0], d.level) == (6, 12)
+        assert d.entry(Fraction(1, 2), Fraction(1, 2)) == d.entry(Fraction(2, 3), Fraction(2, 3)) == 1
+
+    def test_shared_and_equal_coarse_diamonds(self, rng):
+        for _ in range(30):
+            shared_line, shared_point = HodgeDiamond.projective_space(1), HodgeDiamond.point()
+            # Many sectors on one coarse object and one shift, each with a count.
+            sectors = [untwisted(3), *((InertiaComponent(2, (0, 1, 1), shared_line, label=f"same{k}"), 2) for k in range(6))]
+            while len(sectors) < 20:
+                l = rng.choice([2, 3, 4, 6, 12])
+                dim_z = rng.randint(0, 1)
+                nz = [rng.randrange(1, l) for _ in range(3 - dim_z)]
+                if math.gcd(l, *nz) != 1:
+                    continue
+                # The shared object, or an equal but distinct one.
+                fresh = HodgeDiamond.projective_space(1) if dim_z else HodgeDiamond.point()
+                coarse = rng.choice([(shared_point, shared_line)[dim_z], fresh])
+                sectors.append((InertiaComponent(l, [0] * dim_z + nz, coarse), rng.randint(1, 4)))
+            self.assert_matches_reference(OrbifoldPresentation(3, sectors))
 
 
 QUOTIENT_13 = ProjectiveQuotientSpec(2, (13,), ((0, 1, 5),))
@@ -460,7 +534,8 @@ class TestAssembledOnce:
         first, second = (stringy_e, assemble_diamond) if stringy_first else (assemble_diamond, stringy_e)
         for call in (first, second, assemble_diamond):
             call(p)
-        assert len(reads) == len(p.sectors)
+        # One read per distinct coarse-diamond object (P^2 and the point), however many sectors share it.
+        assert len(reads) == len({id(c.coarse_diamond) for c, _ in p.sectors}) == 2 < len(p.sectors) == 37
 
     @pytest.mark.parametrize("stringy_first", [False, True])
     def test_stringy_e_equals_its_public_rebuild(self, stringy_first):
