@@ -129,10 +129,11 @@ def build_projective_quotient(spec: ProjectiveQuotientSpec, name: str | None = N
     the differences (chi' - chi) scaled to [0, l - 1], one per coordinate
     in the other eigenspaces, padded with dim V_chi - 1 zeros along the
     component.  The identity element contributes the untwisted P^n sector.
-    Each element sums one precomputed row per generator power (Σm_j rows)
-    and sorts its n + 1 eigenvalues once; their turns past the smallest,
-    on Z/l, are doubled by one full turn, so each eigenspace's exponents
-    are the next n turns less its own, already sorted.
+    The generator power rows are folded once into one eigenvalue row per
+    element (a cyclic group's rows are its m power rows), so each element
+    sorts its n + 1 eigenvalues once; their turns past the smallest, on
+    Z/l, are doubled by one full turn, so each eigenspace's exponents are
+    the next n turns less its own, already sorted.
 
     Raises ScalarActionError if a nonidentity element acts as a scalar
     (the action would not be effective on P^n).  If g fixes a hyperplane
@@ -149,31 +150,35 @@ def build_projective_quotient(spec: ProjectiveQuotientSpec, name: str | None = N
     big = math.lcm(1, *spec.cyclic_orders)
     # Per generator, one row per power k: the exponent of zeta_big by which g^k turns each coordinate.
     powers = [[[k * (big // m) * w % big for w in row] for k in range(m)] for m, row in zip(spec.cyclic_orders, spec.weights)]
+    # One eigenvalue row per element, in `product` order: each further generator's rows folded into the first's.
+    rows = powers[0] if powers else [[0] * (n + 1)]
+    for steps in powers[1:]:
+        rows = [[(a + b) % big for a, b in zip(r, s)] for r in rows for s in steps]
     # Every fixed component is a P^k, k <= n: one shared diamond per k, built on first use.
     projective = cache(HodgeDiamond.projective_space)
 
     components: list[tuple[InertiaComponent, int]] = []
-    for t, rows in zip(product(*(range(m) for m in spec.cyclic_orders)), product(*powers)):
+    for t, row in zip(product(*(range(m) for m in spec.cyclic_orders)), rows):
         if not any(t):
             components.append((InertiaComponent(1, (0,) * n, projective(n), label="untwisted"), 1))
             continue
-        eig = sorted([sum(turn) % big for turn in zip(*rows)])
-        diffs = [e - eig[0] for e in eig]
+        eig = sorted(row)
+        turns = [e - eig[0] for e in eig]  # each eigenvalue's turn past eig[0] on Z/big, sorted in [0, big)
         # Projective order l: least d with all pairwise eigenvalue differences killed mod the big order (1 for a scalar).
-        g0 = math.gcd(big, *diffs)
+        g0 = math.gcd(big, *turns)
         if g0 == big:
             raise ScalarActionError(f"element with generator powers {t} acts as a scalar on P^{n}")
         l = big // g0
-        turns = [d // g0 for d in diffs]  # each eigenvalue's turn past eig[0] on Z/l, sorted in [0, l)
+        if g0 != 1:
+            turns = [d // g0 for d in turns]  # now on Z/l
         turns += [x + l for x in turns]  # doubled: the earlier eigenvalues once more, one full turn on
-        t_label = ",".join(map(str, t))
+        prefix = f"g=({','.join(map(str, t))}) eig="
         for j, chi in enumerate(eig):
             if j and chi == eig[j - 1]:
                 continue
             # Read off sorted: dim V_chi - 1 zeros, the later eigenvalues' turns, then the earlier ones' past a full turn.
             exponents = tuple([x - turns[j] for x in turns[j + 1:j + 1 + n]])
-            label = f"g=({t_label}) eig={chi}"
-            components.append((InertiaComponent(l, exponents, projective(eig.count(chi) - 1), label=label), 1))
+            components.append((InertiaComponent(l, exponents, projective(eig.count(chi) - 1), prefix + str(chi)), 1))
     if name is None:
         if spec.cyclic_orders:
             name = f"p{n}_" + "x".join(f"z{m}" for m in spec.cyclic_orders)

@@ -3,6 +3,7 @@ import math
 import random
 import re
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -213,6 +214,27 @@ class TestElementCoordinateBudget:
             build_projective_quotient(spec(10**5, [2], [[0] * 10**5 + [1]]))
 
 
+    def test_p3_product_group_at_the_bound_builds_every_sector(self):
+        # |G|·(n + 1) = 10 000 · 4 = 40 000: the largest table of eigenvalue rows the budget admits. Every 2×2 minor
+        # of the weight differences is a unit mod 100, so no element fixes a hyperplane.
+        args = (3, [100, 100], [[0, 1, 0, 3], [0, 0, 1, 7]])
+        p = build_projective_quotient(spec(*args))
+        rows = [(c.order_l, c.exponents, c.coarse_diamond.dim_n, c.label, count) for c, count in p.sectors]
+        assert len(rows) == 39_403
+        assert rows == eigenline_sectors(*args)
+
+    def test_product_group_past_the_bound_is_refused_before_building(self):
+        # 8080 · 5 = 40 400 pairs; one eigenvalue row per element alone would take about a megabyte.
+        tracemalloc.start()
+        try:
+            with pytest.raises(GroupTooLargeError, match=r"^group order 8080 times 5 coordinates exceeds the limit 40000$"):
+                build_projective_quotient(spec(4, [80, 101], [[0, 1, 2, 3, 4], [0, 2, 3, 5, 7]]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+
 class TestPinnedOutput:
     """The builder's exact output: sectors in order, with labels and counts, and its error messages."""
 
@@ -306,6 +328,36 @@ class TestPinnedOutput:
             outcomes["built"] += 1
             outcomes["repeated weights"] += any(len(set(row)) <= n for row in weights)
         assert min(outcomes[k] for k in ("built", "ScalarActionError", "PseudoReflectionError", "repeated weights")) >= 20
+
+    def test_eigenline_reference_on_shapes_the_random_specs_skip(self):
+        """The builder against a sort per eigenline on up to three generators, generators of order 1, weights
+        outside [0, m) (negative ones included) and the trivial group: the same rows, or the same error type and
+        message."""
+        rng = random.Random(20261021)
+        outcomes = Counter()
+        for _ in range(300):
+            n = rng.randint(1, 4)
+            orders = [rng.choice([1, 2, 3, 4, 5, 6]) for _ in range(rng.choice([0, 1, 2, 3, 3, 3]))]
+            weights = [[rng.randint(-2 * m, 2 * m) for _ in range(n + 1)] for m in orders]
+            try:
+                expected = eigenline_sectors(n, orders, weights)
+            except ValidationError as exc:
+                with pytest.raises(ValidationError) as caught:
+                    build_projective_quotient(spec(n, orders, weights))
+                assert (type(caught.value), str(caught.value)) == (type(exc), str(exc)), (n, orders, weights)
+                outcomes[type(exc).__name__] += 1
+                continue
+            p = build_projective_quotient(spec(n, orders, weights))
+            rows = [(c.order_l, c.exponents, c.coarse_diamond.dim_n, c.label, count) for c, count in p.sectors]
+            assert rows == expected, (n, orders, weights)
+            outcomes["built"] += 1
+            outcomes["three generators"] += len(orders) == 3
+            outcomes["an order-1 generator"] += 1 in orders
+            outcomes["a negative weight"] += any(w < 0 for row in weights for w in row)
+            outcomes["trivial group"] += not orders
+        # Each outcome occurs often enough to count; at this seed the fewest are 24 builds with three generators.
+        assert min(outcomes[k] for k in ("built", "ScalarActionError", "PseudoReflectionError")) >= 40
+        assert min(outcomes[k] for k in ("three generators", "an order-1 generator", "a negative weight", "trivial group")) >= 20
 
 
 class TestKummer:
