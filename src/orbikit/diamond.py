@@ -52,6 +52,7 @@ GradeKey = Tuple[Grade, Grade]
 
 _GRADE_TEXT = re.compile(r"(-?\d+)(?:/(\d+))?", re.ASCII)
 _LATTICE_BITS = 1 << 24  # the keys of one map times the bits of their unit or level: about 2 MB of coordinates
+_int_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)  # 0: no limit, as before Python 3.10.7
 
 
 def is_int(value) -> bool:
@@ -67,18 +68,26 @@ def as_grade(value: GradeLike) -> Grade:
     Floats are rejected: decimal notation cannot represent grades like 1/3
     exactly, and silently accepting floats would corrupt exactness.
     """
-    if isinstance(value, str) and (match := _GRADE_TEXT.fullmatch(value)):  # first: the file readers' case
-        try:
-            num, den = int(match[1]), int(match[2] or 1)
-        except ValueError:  # digits past Python's int-to-string limit
-            num = den = 0
-        if den > 0 and math.gcd(num, den) == 1:
-            return Fraction(num, den)
+    if isinstance(value, str):  # first: the file readers' case
+        if form := grade_form(value):
+            return Fraction(*form)
     elif is_int(value):
         return Fraction(value)
     elif isinstance(value, Fraction):
         return value
     raise ValidationError(f"not an exact rational grade: {value!r} (use int, Fraction or 'a/b' in lowest terms)")
+
+
+def grade_form(text: str) -> tuple[int, int] | None:
+    """(a, b) for a grade string "a" or "a/b" in lowest terms with b > 0, else None: `as_grade`'s string case."""
+    if match := _GRADE_TEXT.fullmatch(text):
+        try:
+            num, den = int(match[1]), int(match[2] or 1)
+        except ValueError:  # digits past Python's int-to-string limit
+            return None
+        if den > 0 and math.gcd(num, den) == 1:
+            return num, den
+    return None
 
 
 def format_grade(g: Grade) -> str:
@@ -93,8 +102,10 @@ def check_dim(dim_n) -> None:
 
 
 def check_printable(value: int, what: str, hint: str = "") -> None:
-    """Raise ValidationError naming `what`, then `hint`, when `value` has more digits than `str` may print."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit, as before Python 3.10.7
+    """Raise ValidationError naming `what`, then `hint`, when `value` has more digits than `str` may print.
+
+    The limit is read on each call, through `_int_max_str_digits`, bound once at import."""
+    limit = _int_max_str_digits()
     # A value below 8^limit < 10^limit prints, so the exact test runs only near the limit.
     if limit and value.bit_length() > 3 * limit and abs(value) >= 10**limit:
         raise ValidationError(f"{what} has more than {limit} decimal digits, past the int-to-string limit{hint}")
@@ -223,14 +234,26 @@ class _GradedMap(_SparseMap):
     __slots__ = ()
 
     def _store(self, dim_n: int | None, pairs: Iterable, check) -> None:
-        """Check each (key, value) by `check(*key, value)`; sum at its lowest-terms point (a, c, b), store on lcm(b)."""
-        sums: dict[tuple[int, int, int], int] = {}
+        """Sum each (key, value) at its lowest-terms point, (a, c) on Z or (a, c, b); store on the lcm of the b.
+
+        A pair of exact-int grades with an exact-int value, for a diamond (`dim_n` not None) in [0, dim_n] and >= 0,
+        is its own point on Z after one type test per field.  Any other entry goes to `check(*key, value)`, which
+        raises its message or returns (a, c, b).  With every point on Z, no lcm is taken."""
+        sums: dict[tuple[int, ...], int] = {}
+        fractional = False
         for key, v in pairs:
-            point = check(*key, v)
-            sums[point] = sums.get(point, 0) + v
-        sums = {point: v for point, v in sums.items() if v}
-        unit = _bounded_lcm((b for _, _, b in sums), lambda: len(sums))
-        super().__init__(dim_n, {(a * (unit // b), c * (unit // b)): v for (a, c, b), v in sums.items()}, unit)
+            if not (type(key) is tuple and len(key) == 2 and type(x := key[0]) is int and type(y := key[1]) is int
+                    and type(v) is int and (dim_n is None or 0 <= x <= dim_n and 0 <= y <= dim_n and v >= 0)):
+                a, c, b = check(*key, v)
+                key = (a, c) if b == 1 else (a, c, b)
+                fractional |= b != 1
+            sums[key] = sums.get(key, 0) + v
+        unit = 1
+        if fractional:
+            points = {(key if len(key) == 3 else (*key, 1)): v for key, v in sums.items() if v}
+            unit = _bounded_lcm((b for _, _, b in points), lambda: len(points))
+            sums = {(a * (unit // b), c * (unit // b)): v for (a, c, b), v in points.items()}
+        super().__init__(dim_n, sums, unit)
 
     @classmethod
     def _from_lattice(cls, dim_n: int | None, unit: int, acc: Mapping[tuple[int, int], int]):
@@ -339,7 +362,8 @@ class ColumnVector(_SparseMap):
 
     These are the graded dimensions of Hochschild homology, the basic
     derived-equivalence invariant.  Zero columns are not stored; indexing
-    an absent column yields 0.
+    an absent column yields 0.  A column of exact ints in range passes one
+    combined test; only another one runs the named checks, in order.
     """
 
     __slots__ = ()
@@ -347,12 +371,13 @@ class ColumnVector(_SparseMap):
     def __init__(self, dim_n: int, cols: Mapping[int, int]):
         check_dim(dim_n)
         for i, v in cols.items():
-            if not is_int(i):
-                raise ValidationError(f"column index must be an integer, got {i!r}")
-            if not (-dim_n <= i <= dim_n):
-                raise ValidationError(f"column index {i} outside [-{dim_n}, {dim_n}]")
-            if not is_int(v) or v < 0:
-                raise ValidationError(f"column value at {i} must be a nonnegative integer, got {v!r}")
+            if not (type(i) is int and type(v) is int and -dim_n <= i <= dim_n and v >= 0):
+                if not is_int(i):
+                    raise ValidationError(f"column index must be an integer, got {i!r}")
+                if not (-dim_n <= i <= dim_n):
+                    raise ValidationError(f"column index {i} outside [-{dim_n}, {dim_n}]")
+                if not is_int(v) or v < 0:
+                    raise ValidationError(f"column value at {i} must be a nonnegative integer, got {v!r}")
         super().__init__(dim_n, cols)
 
     cols = _SparseMap._view

@@ -44,7 +44,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Callable
 
 from .catalog import loads, read_json  # re-exported: the strict text reader lives in `catalog`
-from .diamond import Grade, HodgeDiamond, _format_key, as_grade, format_grade
+from .diamond import Grade, HodgeDiamond, _format_key, as_grade, format_grade, grade_form
 from .errors import ParseError, ValidationError
 from .inertia import InertiaComponent, OrbifoldPresentation
 from .quotient import _from_json_shape, _presentation_from_generator, _require_int, _require_keys, _require_str
@@ -69,13 +69,17 @@ def grade_from_json(value: Any, where: str) -> Fraction:
 
 
 def _grade(value: Any, memo: dict, where: Callable[[], str], k: int) -> tuple[int, int]:
-    """A grade as (numerator, denominator) in lowest terms: an int as itself, a string parsed once per `memo`."""
+    """A grade as (numerator, denominator) in lowest terms: an int as itself, a string by `grade_form` once per
+    `memo`.  A string it refuses, or any other value, goes to `grade_from_json`, which raises or reads it."""
     if type(value) is int:
         return value, 1
-    if type(value) is not str or value not in memo:
-        g = grade_from_json(value, f"{where()}[{k}]")
-        memo[value] = g.numerator, g.denominator
-    return memo[value]
+    if type(value) is str:
+        if (form := memo.get(value)) is None:
+            form = memo[value] = grade_form(value)
+        if form is not None:
+            return form
+    g = grade_from_json(value, f"{where()}[{k}]")
+    return g.numerator, g.denominator
 
 
 def _entries_from_json(raw: Any, where: Callable[[], str]) -> tuple[tuple[tuple[int, int, int, int], int], ...]:
@@ -86,11 +90,15 @@ def _entries_from_json(raw: Any, where: Callable[[], str]) -> tuple[tuple[tuple[
     if not isinstance(raw, list):
         raise ParseError(f"{where()}: expected a list of {{p, q, h}} objects")
     seen: dict[tuple[int, int, int, int], int] = {}  # integer forms of the keys: no Fraction is hashed
-    memo: dict[str, tuple[int, int]] = {}  # each distinct grade string parsed once
+    memo: dict[str, tuple[int, int] | None] = {}  # each distinct grade string parsed once
     for k, item in enumerate(raw):
         if not (type(item) is dict and item.keys() == _ENTRY_FIELDS):
             _require_keys(item, _ENTRY_FIELDS, set(), f"{where()}[{k}]")
-        key = (*_grade(item["p"], memo, where, k), *_grade(item["q"], memo, where, k))
+        p, q = item["p"], item["q"]
+        if type(p) is int and type(q) is int:
+            key = (p, 1, q, 1)
+        else:
+            key = (*_grade(p, memo, where, k), *_grade(q, memo, where, k))
         h = item["h"]
         if type(h) is not int:
             _require_int(h, f"{where()}[{k}]")

@@ -130,18 +130,15 @@ def check_partners(a: HodgeDiamond, b: HodgeDiamond, strict_dim3: bool = False) 
     if a.dim_n != b.dim_n:
         raise DimensionMismatchError(f"dimensions differ: {a.dim_n} vs {b.dim_n}")
     n = a.dim_n
-
-    def entries_at(keys) -> tuple[dict, dict]:
-        return tuple({key: d.entry(*key) for key in keys} for d in (a, b))
-
-    failures = _differences("columns", columns(a).cols, columns(b).cols)
+    failures = _differences("columns", columns(a)._map, columns(b)._map)
     for constraint, key in (("h01", (0, 1)), ("hn0", (n, 0)), ("hn10", (n - 1, 0))):
-        failures += _differences(constraint, *entries_at([key]))
+        if (left := a.entry(*key)) != (right := b.entry(*key)):
+            failures.append(Mismatch(constraint, key, left, right))
     # Stored keys only, as in `_differences`: a loop over range(n) would not end for a huge n.
     # On the p = 0 edge q is an integer, since p - q is.
     edge = {(0, c // unit) for unit, m in (a.lattice(), b.lattice())
             for x, c in m if x == 0 and 2 * unit <= c < n * unit}
-    informational = tuple(_differences("h0q", *entries_at(edge)))
+    informational = tuple(_differences("h0q", *({key: d.entry(*key) for key in edge} for d in (a, b))))
 
     strict_equal: Optional[bool] = None
     if strict_dim3 and n <= 3 and a.is_integer_graded() and b.is_integer_graded():

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,11 +13,13 @@ from orbikit import (
     StringyPolynomial,
     ValidationError,
     as_grade,
+    check_partners,
     check_symmetries,
     columns,
     serre_dual,
     stringy_e,
 )
+from orbikit.diamond import _check_entry, _check_term
 from support import K3_DIAMOND, KUMMER3_DIAMOND, P2_MU3_DIAMOND
 
 
@@ -285,3 +288,131 @@ def test_views_are_read_only(view):
         view()[0] = 1
     with pytest.raises(TypeError):
         del view()[next(iter(view()))]
+
+
+class Count(int):
+    """An int subclass: the named checks accept it, the exact-int fast paths must hand it to them."""
+
+
+# Each value goes into one field of an entry, a term or a column, in turn: none of them is a plain in-range int.
+ODD_FIELDS = [True, 1.0, Fraction(1), Fraction(1, 2), "1", "1/2", Count(1), 2, -1]
+
+
+def outcome(make):
+    """What `make()` gives, or the type and exact message of what it raises."""
+    try:
+        return make()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def named_checks_store(check, pairs) -> tuple[int, dict]:
+    """(unit, lattice map) with every entry passed to `check`: the constructors' storage with no fast path."""
+    sums = {}
+    for key, v in pairs:
+        point = check(*key, v)
+        sums[point] = sums.get(point, 0) + v
+    sums = {point: v for point, v in sums.items() if v}
+    unit = math.lcm(1, *(b for _, _, b in sums))
+    return unit, {(a * (unit // b), c * (unit // b)): v for (a, c, b), v in sums.items()}
+
+
+def stored(d) -> tuple[int, dict]:
+    unit, m = d.lattice()
+    return unit, dict(m)
+
+
+class TestExactIntFastPaths:
+    """Ints take one type test per field; every other field gets exactly what the named checks give it."""
+
+    @pytest.mark.parametrize("odd", ODD_FIELDS, ids=repr)
+    @pytest.mark.parametrize("position", ["p", "q", "h"])
+    def test_diamond_entry_fields(self, position, odd):
+        fields = {"p": 1, "q": 1, "h": 3, position: odd}
+        entries = {(0, 0): 1, (fields["p"], fields["q"]): fields["h"]}
+        got = outcome(lambda: stored(HodgeDiamond(1, entries)))
+        assert got == outcome(lambda: named_checks_store(partial(_check_entry, 1), entries.items()))
+        if not isinstance(got[0], type):  # stored: the level is the unit
+            assert HodgeDiamond(1, entries).level == got[0]
+
+    @pytest.mark.parametrize("odd", ODD_FIELDS, ids=repr)
+    @pytest.mark.parametrize("position", ["p", "q", "v"])
+    def test_stringy_term_fields(self, position, odd):
+        fields = {"p": 1, "q": 1, "v": -3, position: odd}
+        terms = {(0, 0): 1, (fields["p"], fields["q"]): fields["v"]}
+        got = outcome(lambda: stored(StringyPolynomial(terms)))
+        assert got == outcome(lambda: named_checks_store(_check_term, terms.items()))
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: HodgeDiamond(1, {(True, 0): 1}),
+         "not an exact rational grade: True (use int, Fraction or 'a/b' in lowest terms)"),
+        (lambda: HodgeDiamond(1, {(1, 1): True}), "dimension h^{1,1} must be an integer, got True"),
+        (lambda: HodgeDiamond(1, {(0, 0): -1}), "negative dimension h^{0,0} = -1"),
+        (lambda: HodgeDiamond(1, {(0, 2): 1}), "grade (0,2) outside [0, 1]"),
+        (lambda: StringyPolynomial({(0, False): 1}),
+         "not an exact rational grade: False (use int, Fraction or 'a/b' in lowest terms)"),
+        (lambda: StringyPolynomial({(0, 0): True}), "coefficient at (0,0) must be an integer, got True"),
+    ])
+    def test_bools_and_out_of_range_fields_keep_their_messages(self, make, message):
+        with pytest.raises(ValidationError) as info:
+            make()
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("key", [(0, 0, 0), (0,), ()], ids=repr)
+    @pytest.mark.parametrize("make", [lambda e: HodgeDiamond(1, e), StringyPolynomial], ids=["diamond", "stringy"])
+    def test_a_key_that_is_not_a_pair_is_a_type_error(self, make, key):
+        with pytest.raises(TypeError):
+            make({(0, 0): 1, key: 1})
+
+    def test_int_keys_with_one_fraction_key_keep_the_canonical_unit(self):
+        mixed = HodgeDiamond(3, {(0, 0): 1, (Fraction(3, 2), Fraction(3, 2)): 64, (3, 3): 1, (1, 1): 2})
+        spelled = HodgeDiamond(3, {(Fraction(p), Fraction(q)): h for (p, q), h in
+                                   {(0, 0): 1, (Fraction(3, 2), Fraction(3, 2)): 64, (3, 3): 1, (1, 1): 2}.items()})
+        assert mixed == spelled and hash(mixed) == hash(spelled)
+        assert stored(mixed) == stored(spelled) == (2, {(0, 0): 1, (2, 2): 2, (3, 3): 64, (6, 6): 1})
+        assert mixed.level == 2
+        whole = HodgeDiamond(1, {(0, 0): 1, (Fraction(1), Fraction(1)): 1})
+        assert stored(whole) == (1, {(0, 0): 1, (1, 1): 1}) and whole.is_integer_graded()
+
+    def test_fractional_terms_that_cancel_leave_unit_one(self):
+        e = StringyPolynomial({(0, 0): 1, ("1/2", "1/2"): 2, (Fraction(1, 2), Fraction(1, 2)): -2, (1, 0): -1})
+        assert stored(e) == (1, {(0, 0): 1, (1, 0): -1}) and e == StringyPolynomial({(0, 0): 1, (1, 0): -1})
+
+    def test_an_int_entry_and_its_fraction_spelling_are_summed(self):
+        d = HodgeDiamond(2, [((1, 1), 3), ((Fraction(1), "1"), 4), ((Count(1), 1), 5)])
+        assert stored(d) == (1, {(1, 1): 12})
+
+    @pytest.mark.parametrize("cols, expected", [
+        ({True: 1}, (ValidationError, "column index must be an integer, got True")),
+        ({1.0: 1}, (ValidationError, "column index must be an integer, got 1.0")),
+        ({Fraction(1): 1}, (ValidationError, "column index must be an integer, got Fraction(1, 1)")),
+        ({"1": 1}, (ValidationError, "column index must be an integer, got '1'")),
+        ({Count(1): 1}, {1: 1}),
+        ({2: 1}, (ValidationError, "column index 2 outside [-1, 1]")),
+        ({-2: 1}, (ValidationError, "column index -2 outside [-1, 1]")),
+        ({-1: 1}, {-1: 1}),
+        ({0: True}, (ValidationError, "column value at 0 must be a nonnegative integer, got True")),
+        ({0: 1.0}, (ValidationError, "column value at 0 must be a nonnegative integer, got 1.0")),
+        ({0: Fraction(1)}, (ValidationError, "column value at 0 must be a nonnegative integer, got Fraction(1, 1)")),
+        ({0: "1"}, (ValidationError, "column value at 0 must be a nonnegative integer, got '1'")),
+        ({0: Count(1)}, {0: 1}),
+        ({0: 2}, {0: 2}),
+        ({0: -1}, (ValidationError, "column value at 0 must be a nonnegative integer, got -1")),
+        ({0: 1, True: 1, 2: 1}, (ValidationError, "column index must be an integer, got True")),
+        ({0: 1, 2: True}, (ValidationError, "column index 2 outside [-1, 1]")),
+    ], ids=repr)
+    def test_column_fields(self, cols, expected):
+        assert outcome(lambda: dict(ColumnVector(1, cols).items())) == expected
+
+
+def test_partner_failures_come_in_constraint_order_with_exact_fields():
+    a = HodgeDiamond(2, {(0, 0): 1, (2, 2): 1})
+    b = HodgeDiamond(2, {(p, q): 1 for p in range(3) for q in range(3) if (p, q) != (1, 1)})
+    failures = check_partners(a, b).failures
+    assert [(m.constraint, m.index, m.left, m.right) for m in failures] == [
+        ("columns", -2, 0, 1), ("columns", -1, 0, 2), ("columns", 1, 0, 2), ("columns", 2, 0, 1),
+        ("h01", (0, 1), 0, 1), ("hn0", (2, 0), 0, 1), ("hn10", (1, 0), 0, 1),
+    ]
+    assert [type(m.index) for m in failures] == [int] * 4 + [tuple] * 3
+    assert all(type(x) is int for m in failures[4:] for x in (*m.index, m.left, m.right))
+    assert [m.constraint for m in check_partners(b, a).failures] == [m.constraint for m in failures]

@@ -18,6 +18,7 @@ from orbikit import (
     hochschild_via_sectors,
 )
 from orbikit.cli import render_json
+from orbikit.diamond import grade_form
 from orbikit.formats import (
     diamond_from_obj,
     diamond_to_obj,
@@ -469,17 +470,17 @@ class TestFieldFaults:
 
 
 class TestGradeParsing:
-    """An integer grade is read as it is; each distinct grade string is parsed once per entry list."""
+    """An integer grade is read as it is; each distinct grade string is parsed once per entry list, by `grade_form`."""
 
     @pytest.fixture
     def parsed(self, monkeypatch):
         calls = []
 
-        def counting(value, where):
-            calls.append(value)
-            return grade_from_json(value, where)
+        def counting(text):
+            calls.append(text)
+            return grade_form(text)
 
-        monkeypatch.setattr("orbikit.formats.grade_from_json", counting)
+        monkeypatch.setattr("orbikit.formats.grade_form", counting)
         return calls
 
     def test_integer_grades_are_not_parsed(self, parsed):
