@@ -466,14 +466,18 @@ def check_symmetries(d: HodgeDiamond) -> SymmetryReport:
     )
 
 
-def columns(d: HodgeDiamond) -> ColumnVector:
-    """Sum the diamond along diagonals p - q = i.
+def _column_sums(d: HodgeDiamond) -> dict[int, int]:
+    """{i: sum of h over the stored (a, c) with a - c = i * unit}: the columns, read off the lattice, unvalidated.
 
-    Well-defined because p - q is an integer for every stored key.
-    """
-    unit, m = d.lattice()
-    cols: dict[int, int] = {}
+    p - q is an integer and grades lie in [0, n], so each index is an int in [-n, n] and each value a positive int."""
+    (unit, m), cols = d.lattice(), {}
     for (a, c), h in m.items():
         i = (a - c) // unit
         cols[i] = cols.get(i, 0) + h
+    return cols
+
+
+def columns(d: HodgeDiamond) -> ColumnVector:
+    """Sum the diamond along diagonals p - q = i: the validated `ColumnVector` of `_column_sums(d)`."""
+    cols = _column_sums(d)  # before `d.dim_n`, so that a non-diamond fails at `lattice`
     return ColumnVector(d.dim_n, cols)

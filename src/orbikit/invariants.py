@@ -36,6 +36,7 @@ from .diamond import (
     ColumnVector,
     HodgeDiamond,
     SymmetryReport,
+    _column_sums,
     _format_key,
     _Record,
     _set,
@@ -125,20 +126,21 @@ def check_partners(a: HodgeDiamond, b: HodgeDiamond, strict_dim3: bool = False) 
     two; it never asserts derived equivalence.  With `strict_dim3`, both
     diamonds integer-graded and dimension <= 3, full entrywise equality is
     additionally required (in that range the invariants determine every
-    Hodge number).
+    Hodge number).  The column sums, and h^{0,1}, h^{n,0}, h^{n-1,0} and the
+    h^{0,q} edge at (p * unit, q * unit), are read off the two lattices.
     """
     if a.dim_n != b.dim_n:
         raise DimensionMismatchError(f"dimensions differ: {a.dim_n} vs {b.dim_n}")
-    n = a.dim_n
-    failures = _differences("columns", columns(a)._map, columns(b)._map)
-    for constraint, key in (("h01", (0, 1)), ("hn0", (n, 0)), ("hn10", (n - 1, 0))):
-        if (left := a.entry(*key)) != (right := b.entry(*key)):
-            failures.append(Mismatch(constraint, key, left, right))
+    check_dim(n := a.dim_n)  # refuses a StringyPolynomial (dim_n None), as a ColumnVector of its sums would
+    failures = _differences("columns", _column_sums(a), _column_sums(b))
+    (ua, ma), (ub, mb) = sides = a.lattice(), b.lattice()
+    for constraint, (p, q) in (("h01", (0, 1)), ("hn0", (n, 0)), ("hn10", (n - 1, 0))):
+        if (left := ma.get((p * ua, q * ua), 0)) != (right := mb.get((p * ub, q * ub), 0)):
+            failures.append(Mismatch(constraint, (p, q), left, right))
     # Stored keys only, as in `_differences`: a loop over range(n) would not end for a huge n.
     # On the p = 0 edge q is an integer, since p - q is.
-    edge = {(0, c // unit) for unit, m in (a.lattice(), b.lattice())
-            for x, c in m if x == 0 and 2 * unit <= c < n * unit}
-    informational = tuple(_differences("h0q", *({key: d.entry(*key) for key in edge} for d in (a, b))))
+    edges = ({(0, c // unit): h for (x, c), h in m.items() if x == 0 and 2 * unit <= c < n * unit} for unit, m in sides)
+    informational = tuple(_differences("h0q", *edges))
 
     strict_equal: Optional[bool] = None
     if strict_dim3 and n <= 3 and a.is_integer_graded() and b.is_integer_graded():
@@ -150,13 +152,12 @@ def check_partners(a: HodgeDiamond, b: HodgeDiamond, strict_dim3: bool = False) 
 
 
 def _differences(constraint: str, a: Mapping, b: Mapping) -> list[Mismatch]:
-    """Mismatches over the stored keys of either map, in key order; absent keys hold 0."""
-    diffs = []
-    for key in sorted(a.keys() | b.keys()):
-        left, right = a.get(key, 0), b.get(key, 0)
-        if left != right:
-            diffs.append(Mismatch(constraint, key, left, right))
-    return diffs
+    """Mismatches over the stored keys of either map, in key order, absent keys holding 0: none for two equal
+    maps, after one comparison and no walk over the keys."""
+    if a == b:
+        return []
+    return [Mismatch(constraint, key, left, right) for key in sorted(a.keys() | b.keys())
+            if (left := a.get(key, 0)) != (right := b.get(key, 0))]
 
 
 def _entry_differences(a: HodgeDiamond, b: HodgeDiamond) -> list[Mismatch]:
@@ -190,8 +191,8 @@ def hochschild_via_sectors(p: OrbifoldPresentation) -> ColumnVector:
     """Hochschild homology dimensions computed sector by sector.
 
     Age shifts move entries along diagonals (p - q is unchanged), so the
-    column vector of the assembled diamond equals the sum of the column
-    vectors of the coarse sector diamonds.
+    column vector of the assembled diamond is the sum of the column sums
+    of the distinct coarse diamonds, each times its count, validated once.
     """
     # One [coarse diamond, total count] per shared diamond object.
     weighted: dict[int, list] = {}
@@ -202,7 +203,7 @@ def hochschild_via_sectors(p: OrbifoldPresentation) -> ColumnVector:
         pair[1] += count
     total: dict[int, int] = {}
     for d, count in weighted.values():
-        for i, v in columns(d).items():
+        for i, v in _column_sums(d).items():
             total[i] = total.get(i, 0) + v * count
     return ColumnVector(p.dim_n, total)
 

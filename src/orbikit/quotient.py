@@ -106,17 +106,11 @@ def torus_invariant_diamond(n: int) -> HodgeDiamond:
     """Negation-invariant Hodge numbers of an n-torus.
 
     Negation acts by (-1)^{p+q} on H^{p,q}, so the invariants are the
-    binomial numbers C(n,p) C(n,q) at even p + q and zero at odd p + q.
+    binomial numbers C(n,p) C(n,q) at even p + q and zero at odd p + q:
+    one row of n + 1 binomials, and q stepping by 2 from p % 2.
     """
-    return HodgeDiamond(
-        n,
-        {
-            (p, q): math.comb(n, p) * math.comb(n, q)
-            for p in range(n + 1)
-            for q in range(n + 1)
-            if (p + q) % 2 == 0
-        },
-    )
+    row = [math.comb(n, p) for p in range(n + 1)]
+    return HodgeDiamond(n, {(p, q): row[p] * row[q] for p in range(n + 1) for q in range(p % 2, n + 1, 2)})
 
 
 def build_projective_quotient(spec: ProjectiveQuotientSpec, name: str | None = None) -> OrbifoldPresentation:

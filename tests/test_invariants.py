@@ -8,9 +8,11 @@ from orbikit import (
     HodgeDiamond,
     InconsistentError,
     InertiaComponent,
+    Mismatch,
     NonGorensteinOrbifoldError,
     OrbifoldPresentation,
     ParityError,
+    PartnerReport,
     UnsupportedDimensionError,
     Verdict,
     assemble_diamond,
@@ -40,6 +42,47 @@ def perturb(d, key=None, delta=1):
     key = key or next(iter(entries))
     entries[key] = entries.get(key, 0) + delta
     return HodgeDiamond(d.dim_n, entries)
+
+
+def random_fractional_grades(rng, n, unit):
+    """A random diamond of dimension n >= 1 on (1/unit)Z, unit its exact lattice unit: integral entries,
+    the edge keys (0, 1), (n, 0), (n - 1, 0), (0, q) among them, plus entries at grades with denominator unit."""
+    entries = {(rng.randint(0, n), rng.randint(0, n)): rng.randint(0, 2) for _ in range(6)}
+    entries |= {key: rng.randint(0, 2) for key in [(0, 1), (n, 0), (n - 1, 0), (0, rng.randint(0, n))]}
+    if unit > 1:
+        entries[Fraction(1, unit), Fraction(1, unit)] = rng.randint(1, 2)
+        for _ in range(6):
+            c = rng.randint(0, n * unit)
+            a = c + unit * rng.randint(-(c // unit), (n * unit - c) // unit)  # a - c a multiple of unit, in range
+            entries[Fraction(a, unit), Fraction(c, unit)] = rng.randint(1, 3)
+    d = HodgeDiamond(n, entries)
+    assert d.lattice()[0] == unit
+    return d
+
+
+def reference_partner_report(a, b, strict_dim3):
+    """`check_partners` from the public `columns()` and `entry()` alone, walking every index."""
+    n = a.dim_n
+    ca, cb = columns(a), columns(b)
+    failures = [Mismatch("columns", i, ca[i], cb[i]) for i in range(-n, n + 1) if ca[i] != cb[i]]
+    for name, key in [("h01", (0, 1)), ("hn0", (n, 0)), ("hn10", (n - 1, 0))]:
+        if a.entry(*key) != b.entry(*key):
+            failures.append(Mismatch(name, key, a.entry(*key), b.entry(*key)))
+    informational = [Mismatch("h0q", (0, q), a.entry(0, q), b.entry(0, q))
+                     for q in range(2, n) if a.entry(0, q) != b.entry(0, q)]
+    strict_equal = None
+    if strict_dim3 and n <= 3 and a.is_integer_graded() and b.is_integer_graded():
+        diffs = [Mismatch("entry", (Fraction(p), Fraction(q)), a.entry(p, q), b.entry(p, q))
+                 for p, q in product(range(n + 1), repeat=2) if a.entry(p, q) != b.entry(p, q)]
+        failures += diffs
+        strict_equal = not diffs
+    return PartnerReport(tuple(failures), tuple(informational), strict_equal)
+
+
+def typed(mismatches):
+    """Each mismatch's fields with the types of its index coordinates and values, which `==` alone would not see."""
+    return [(m.constraint, m.index, tuple(map(type, m.index if isinstance(m.index, tuple) else (m.index,))),
+             m.left, m.right, type(m.left), type(m.right)) for m in mismatches]
 
 
 class TestCheckPartners:
@@ -135,6 +178,29 @@ class TestCheckPartners:
             }
             assert {name: getattr(report, f"{name}_equal") for name in flags} == flags
             assert (report.verdict is Verdict.COMPATIBLE_SO_FAR) == all(flags.values())
+
+    def test_fractional_grades_match_a_walk_over_every_index(self, rng):
+        # Grades on (1/u)Z with a different unit u on each side, so a read that drops the unit scale
+        # misses h01, hn0, hn10 or the h0q edge.  Equal pairs and pairs with equal keys but one value
+        # changed pin the equal-map short cut: it must fire on equal maps only.
+        seen = set()
+        for _ in range(40):
+            n = rng.randint(1, 5)
+            sides = [random_fractional_grades(rng, n, u) for u in rng.sample([1, 2, 3, 6], 2)]
+            seen.update(d.lattice()[0] for d in sides)
+            a, b = sides
+            for pair in [(a, b), (b, a), (a, HodgeDiamond(n, dict(a.items()))), (a, a), (a, perturb(a)),
+                         (perturb(b, delta=2), b)]:
+                for strict in (False, True):
+                    report = check_partners(*pair, strict_dim3=strict)
+                    expected = reference_partner_report(*pair, strict)
+                    assert typed(report.failures) == typed(expected.failures)
+                    assert typed(report.informational) == typed(expected.informational)
+                    assert report.strict_equal is expected.strict_equal
+                    assert report.verdict is expected.verdict
+                    for name in ("columns", "h01", "hn0", "hn10"):
+                        assert getattr(report, f"{name}_equal") is getattr(expected, f"{name}_equal"), name
+        assert seen == {1, 2, 3, 6}
 
     def test_reflexive_on_all_builtins(self, kummer2, kummer3, p2_mu3):
         for p in (kummer2, kummer3, p2_mu3):

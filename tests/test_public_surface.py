@@ -1,4 +1,9 @@
-"""The public names that callers, the CLI and the benchmark import."""
+"""The public names that callers, the CLI and the benchmark import, and the README example that uses them."""
+
+import io
+import re
+from contextlib import redirect_stdout
+from pathlib import Path
 
 import orbikit
 from orbikit import catalog, cli, formats
@@ -32,3 +37,14 @@ def test_module_entry_points_stay_importable():
     ]:
         for name in names:
             assert callable(getattr(module, name)), f"{module.__name__}.{name}"
+
+
+def test_readme_library_example_runs_and_prints_what_its_comments_say():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## Library example\n\n```python\n(.*?)^```$", readme, re.M | re.S)[1]
+    expected = [line.split("# ", 1)[1].strip() for line in block.splitlines() if line.startswith("print(")]
+    assert expected == ["20", "{-2: 1, 0: 22, 2: 1}"]
+    out = io.StringIO()
+    with redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})  # the block's own `assert` runs too
+    assert out.getvalue().splitlines() == expected

@@ -26,6 +26,7 @@ from orbikit import (
     extract_h0q,
     is_gorenstein,
     stringy_e,
+    torus_invariant_diamond,
 )
 from support import K3_DIAMOND, KUMMER3_DIAMOND, P2_MU3_DIAMOND, box_sectors, eigenline_sectors, expanded
 
@@ -414,6 +415,14 @@ class TestKummer:
         assert build_kummer(99).untwisted.coarse_diamond.entry(0, 0) == 1
         with pytest.raises(GroupTooLargeError, match=r"^torus dimension 100 has 10201 Hodge pairs"):
             build_kummer(100)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_torus_invariant_diamond_is_the_even_binomial_products(self, n):
+        # The function is public, so n = 1 counts too, though KummerSpec refuses it.
+        d = torus_invariant_diamond(n)
+        pairs = product(range(n + 1), repeat=2)
+        assert d == HodgeDiamond(n, {(p, q): math.comb(n, p) * math.comb(n, q) for p, q in pairs if (p + q) % 2 == 0})
+        assert d.total() == 2 ** (2 * n - 1)
 
     def test_higher_dimension_sector_count(self):
         p = build_kummer(4)
