@@ -126,8 +126,8 @@ def check_partners(a: HodgeDiamond, b: HodgeDiamond, strict_dim3: bool = False) 
     two; it never asserts derived equivalence.  With `strict_dim3`, both
     diamonds integer-graded and dimension <= 3, full entrywise equality is
     additionally required (in that range the invariants determine every
-    Hodge number).  The column sums, and h^{0,1}, h^{n,0}, h^{n-1,0} and the
-    h^{0,q} edge at (p * unit, q * unit), are read off the two lattices.
+    Hodge number).  The constraints are the column sums, h^{0,1}, h^{n,0}
+    and h^{n-1,0}; the h^{0,q} edge for 2 <= q < n is informational.
     """
     if a.dim_n != b.dim_n:
         raise DimensionMismatchError(f"dimensions differ: {a.dim_n} vs {b.dim_n}")
@@ -191,8 +191,8 @@ def hochschild_via_sectors(p: OrbifoldPresentation) -> ColumnVector:
     """Hochschild homology dimensions computed sector by sector.
 
     Age shifts move entries along diagonals (p - q is unchanged), so the
-    column vector of the assembled diamond is the sum of the column sums
-    of the distinct coarse diamonds, each times its count, validated once.
+    column vector of the assembled diamond equals the sum of the column
+    vectors of the coarse sector diamonds.
     """
     # One [coarse diamond, total count] per shared diamond object.
     weighted: dict[int, list] = {}
