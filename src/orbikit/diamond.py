@@ -128,8 +128,6 @@ def _format_key(key) -> str:
 
 def _lattice_point(x: GradeLike, y: GradeLike) -> tuple[int, int, int]:
     """(a, c, b) with (as_grade(x), as_grade(y)) = (a/b, c/b), b the lcm of the two denominators."""
-    if type(x) is int and type(y) is int:  # already on the lattice: no Fraction is made
-        return x, y, 1
     p, q = as_grade(x), as_grade(y)
     b = math.lcm(p.denominator, q.denominator)
     return p.numerator * (b // p.denominator), q.numerator * (b // q.denominator), b
@@ -362,8 +360,7 @@ class ColumnVector(_SparseMap):
 
     These are the graded dimensions of Hochschild homology, the basic
     derived-equivalence invariant.  Zero columns are not stored; indexing
-    an absent column yields 0.  A column of exact ints in range passes one
-    combined test; only another one runs the named checks, in order.
+    an absent column yields 0.
     """
 
     __slots__ = ()
@@ -371,13 +368,12 @@ class ColumnVector(_SparseMap):
     def __init__(self, dim_n: int, cols: Mapping[int, int]):
         check_dim(dim_n)
         for i, v in cols.items():
-            if not (type(i) is int and type(v) is int and -dim_n <= i <= dim_n and v >= 0):
-                if not is_int(i):
-                    raise ValidationError(f"column index must be an integer, got {i!r}")
-                if not (-dim_n <= i <= dim_n):
-                    raise ValidationError(f"column index {i} outside [-{dim_n}, {dim_n}]")
-                if not is_int(v) or v < 0:
-                    raise ValidationError(f"column value at {i} must be a nonnegative integer, got {v!r}")
+            if not is_int(i):
+                raise ValidationError(f"column index must be an integer, got {i!r}")
+            if not (-dim_n <= i <= dim_n):
+                raise ValidationError(f"column index {i} outside [-{dim_n}, {dim_n}]")
+            if not is_int(v) or v < 0:
+                raise ValidationError(f"column value at {i} must be a nonnegative integer, got {v!r}")
         super().__init__(dim_n, cols)
 
     cols = _SparseMap._view

@@ -20,7 +20,7 @@ Two document kinds, both a single top-level JSON object:
       {"name": "...", "dim": 2, "entries": [{"p": 0, "q": 0, "h": 1}, ...]}
 
 Grades are JSON integers or exact strings "a/b" in lowest terms, never
-decimals; `as_grade` is the one parser.  An integer grade is read as it is,
+decimals; `as_grade` is the one parser.  An int pair is read as it is,
 and each distinct string is parsed once per entry list.  The optional sector
 field "count" is the sector's multiplicity: it is kept, not expanded, as the
 count of a (component, count) pair, and canonical output writes it back when
@@ -69,10 +69,7 @@ def grade_from_json(value: Any, where: str) -> Fraction:
 
 
 def _grade(value: Any, memo: dict, where: Callable[[], str], k: int) -> tuple[int, int]:
-    """A grade as (numerator, denominator) in lowest terms: an int as itself, a string by `grade_form` once per
-    `memo`.  A string it refuses, or any other value, goes to `grade_from_json`, which raises or reads it."""
-    if type(value) is int:
-        return value, 1
+    """A grade as (numerator, denominator) in lowest terms, each distinct string parsed once per `memo`."""
     if type(value) is str:
         if (form := memo.get(value)) is None:
             form = memo[value] = grade_form(value)

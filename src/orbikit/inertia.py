@@ -190,12 +190,10 @@ def assemble_diamond(p: OrbifoldPresentation) -> HodgeDiamond:
     h^{p,q}_orb = sum over sectors Z of h^{p - a(Z), q - a(Z)}(Z), realized
     by adding each coarse entry (p', q') times the sector's count at
     (p' + a, q' + a).  The level of the result is the lcm of the sector
-    orders.  One pass over the sectors sums each sector's count under its
-    shift a·level on (1/level)Z, per shared coarse diamond object; each
-    coarse diamond is then read once and expanded once per distinct shift,
-    as integers stored unchecked on (1/unit)Z, unit the lcm of the ages'
-    reduced denominators (the level itself when no age reduces): canonical,
-    as every age is a stored grade (h^{0,0} >= 1).
+    orders.  A coarse diamond object shared by sectors is expanded once per
+    distinct shift.  The sums are stored unchecked on (1/unit)Z, unit the
+    lcm of the ages' reduced denominators: canonical, as every age is a
+    stored grade (h^{0,0} >= 1).
     A presentation keeps its diamond: later calls return that one object.
 
     Raises OutOfRangeError if a shifted grade leaves [0, n], the one range
@@ -204,7 +202,7 @@ def assemble_diamond(p: OrbifoldPresentation) -> HodgeDiamond:
     codimension), so it signals inconsistent input, e.g. a sector swapped
     with its inverse by hand-edited exponents.
     """
-    if (made := getattr(p, "_diamond", None)) is not None:  # a duck-typed stand-in has no slot, keeps nothing
+    if (made := p._diamond) is not None:
         return made
     n = p.dim_n
     level = _bounded_lcm((c.order_l for c, _ in p.sectors), lambda: sum(len(c.coarse_diamond._map) for c, _ in p.sectors))
@@ -242,8 +240,7 @@ def assemble_diamond(p: OrbifoldPresentation) -> HodgeDiamond:
                 acc[key] = acc.get(key, 0) + h * count
     made = HodgeDiamond._from_lattice(n, unit, acc)
     made._level = level  # the lcm of the sector orders, a multiple of the unit
-    if isinstance(p, OrbifoldPresentation):
-        _set(p, "_diamond", made)
+    _set(p, "_diamond", made)
     return made
 
 

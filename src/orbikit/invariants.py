@@ -197,10 +197,7 @@ def hochschild_via_sectors(p: OrbifoldPresentation) -> ColumnVector:
     # One [coarse diamond, total count] per shared diamond object.
     weighted: dict[int, list] = {}
     for c, count in p.sectors:
-        pair = weighted.get(id(c.coarse_diamond))
-        if pair is None:
-            pair = weighted[id(c.coarse_diamond)] = [c.coarse_diamond, 0]
-        pair[1] += count
+        weighted.setdefault(id(c.coarse_diamond), [c.coarse_diamond, 0])[1] += count
     total: dict[int, int] = {}
     for d, count in weighted.values():
         for i, v in _column_sums(d).items():

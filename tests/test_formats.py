@@ -1,4 +1,5 @@
 import json
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -441,6 +442,13 @@ ENTRY_FAULTS = {
     "grade_float": (_entry(p=1.5), "entries[0]: " + GRADE_ERROR.format("1.5")),
     "grade_bool": (_entry(q=False), "entries[0]: " + GRADE_ERROR.format("False")),
     "duplicate_half": ([{"p": "1/2", "q": "1/2", "h": 1}] * 2, "entries[1]: duplicate entry at (1/2,1/2)"),
+    # Two spellings of one grade, one of them not JSON as a library caller may pass it, and a bool next to an int.
+    "duplicate_int_and_string": ([*POINT_ENTRIES, {"p": 1, "q": 1, "h": 1}, {"p": 0, "q": 1, "h": 1},
+                                  {"p": 1, "q": "1", "h": 2}], "entries[3]: duplicate entry at (1,1)"),
+    "duplicate_string_and_fraction": ([*POINT_ENTRIES, {"p": "1/2", "q": "1/2", "h": 1}, {"p": 0, "q": 1, "h": 1},
+                                       {"p": Fraction(1, 2), "q": Fraction(1, 2), "h": 2}],
+                                      "entries[3]: duplicate entry at (1/2,1/2)"),
+    "grade_true": (_entry(p=True), "entries[0]: " + GRADE_ERROR.format("True")),
 }
 
 
@@ -501,6 +509,45 @@ class TestGradeParsing:
         obj["sectors"][1]["diamond"] = [{"p": "0", "q": 0, "h": 1}]
         p = presentation_from_obj(obj)
         assert parsed == ["0", "0"] and p.sectors[1][0].coarse_diamond is p.sectors[2][0].coarse_diamond
+
+
+class Degree(IntEnum):
+    ONE = 1
+
+
+# Grades a library caller may pass in an object that is not parsed JSON, each with its JSON spelling.
+LIBRARY_GRADES = {
+    "fraction_half": ({"p": Fraction(1, 2), "q": Fraction(1, 2), "h": 3}, {"p": "1/2", "q": "1/2", "h": 3}),
+    "fraction_whole": ({"p": Fraction(2), "q": Fraction(2), "h": 1}, {"p": 2, "q": 2, "h": 1}),
+    "int_enum": ({"p": Degree.ONE, "q": Degree.ONE, "h": 1}, {"p": 1, "q": 1, "h": 1}),
+    "int_and_string": ({"p": 1, "q": "1", "h": 1}, {"p": 1, "q": 1, "h": 1}),
+}
+INTEGRAL = {k: v for k, v in LIBRARY_GRADES.items() if k != "fraction_half"}
+
+
+class TestLibraryGrades:
+    """The readers take any grade `as_grade` takes, as a library caller may pass it, and read it as its JSON spelling."""
+
+    @pytest.mark.parametrize("entry,spelled", LIBRARY_GRADES.values(), ids=LIBRARY_GRADES.keys())
+    def test_a_diamond_file_reads_the_grade_as_its_json_spelling(self, entry, spelled):
+        read = diamond_from_obj({"name": "d", "dim": 2, "entries": [POINT_ENTRIES[0], entry]})
+        assert read == diamond_from_obj({"name": "d", "dim": 2, "entries": [POINT_ENTRIES[0], spelled]})
+
+    @pytest.mark.parametrize("entry,spelled", INTEGRAL.values(), ids=INTEGRAL.keys())
+    def test_a_sector_diamond_reads_the_grade_as_its_json_spelling(self, entry, spelled):
+        def untwisted(last):
+            obj = _two_twisted(POINT_ENTRIES)
+            obj["sectors"][0]["diamond"] = [POINT_ENTRIES[0], last]
+            return obj
+
+        assert presentation_from_obj(untwisted(entry)) == presentation_from_obj(untwisted(spelled))
+
+    def test_a_fractional_sector_grade_is_refused_by_the_sector_rule(self):
+        obj = _two_twisted(POINT_ENTRIES)
+        obj["sectors"][0]["diamond"] = P2_ENTRIES + [LIBRARY_GRADES["fraction_half"][0]]
+        with pytest.raises(ValidationError) as exc:
+            presentation_from_obj(obj)
+        assert type(exc.value) is ValidationError and str(exc.value) == "coarse-space diamond must have integer grades only"
 
 
 LABEL = 'Kähler "K3"\n\tsurface \\ ∞ \U0001d54f \x7f\u2028'

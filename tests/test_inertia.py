@@ -3,7 +3,6 @@ import math
 import pickle
 from fractions import Fraction
 from itertools import product
-from types import SimpleNamespace
 
 import pytest
 
@@ -369,17 +368,10 @@ class TestAssembleDiamond:
     def test_out_of_range_shift_rejected(self):
         # Not constructible through the validated types: the shift of a
         # valid sector is strictly below its codimension.  Drive the
-        # defensive check with a duck-typed stand-in.
-        rogue = SimpleNamespace(
-            order_l=4,
-            exponents=(3, 3),
-            coarse_diamond=HodgeDiamond(1, {(1, 1): 1}),
-            label="rogue",
-            is_untwisted=False,
-        )
-        fake = SimpleNamespace(dim_n=2, sectors=((rogue, 1),))
+        # defensive check with a sector changed past validation.
+        p = OrbifoldPresentation(2, [untwisted(2), self.rogue((3, 3), HodgeDiamond(1, {(1, 1): 1}))])
         with pytest.raises(OutOfRangeError, match=r"'rogue' shifts \(1,1\) to \(5/2,5/2\)"):
-            assemble_diamond(fake)
+            assemble_diamond(p)
 
     @staticmethod
     def rogue(exponents, coarse, label="rogue"):
