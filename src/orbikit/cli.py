@@ -13,11 +13,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from fractions import Fraction
 from functools import cache
 
 from .catalog import catalog_entries, document_from_obj, source_document
-from .diamond import ColumnVector, HodgeDiamond, check_printable, check_symmetries, format_grade
+from .diamond import ColumnVector, HodgeDiamond, check_printable, check_symmetries
 from .errors import OrbikitError, ParseError
 from .inertia import assemble_diamond, is_gorenstein
 from .quotient import MAX_GROUP_ORDER, check_budget
@@ -104,8 +103,8 @@ def render_diamond(name: str, d: HodgeDiamond, fmt: str) -> str:
 
 
 def _format_index(index, grade, join=list):
-    """A column index as is; a (p, q) index as its two grades through `grade`, then `join`."""
-    return join(grade(Fraction(x)) for x in index) if isinstance(index, tuple) else index
+    """A column index as is; a (p, q) index as its two grades, int or Fraction, through `grade`, then `join`."""
+    return join(grade(x) for x in index) if isinstance(index, tuple) else index
 
 
 def _mismatch_to_json(m) -> dict:
@@ -133,7 +132,7 @@ def render_partners(report, fmt: str) -> str:
         lines.append(f"strict: {'equal' if report.strict_equal else 'MISMATCH'}")
     for head, found, tail in (("  ", report.failures, ""), ("info: ", report.informational, " (not verdict-affecting)")):
         for m in found:
-            index = _format_index(m.index, format_grade, ",".join)
+            index = _format_index(m.index, str, ",".join)  # `str` of an int or Fraction is its `format_grade`
             lines.append(f"{head}{m.constraint}[{index}]: {m.left} vs {m.right}{tail}")
     lines.append(f"verdict: {report.verdict.value}")
     if report.verdict is Verdict.COMPATIBLE_SO_FAR:

@@ -7,7 +7,9 @@ sectors shift cohomology by a fractional age; p - q nevertheless stays an
 integer because both coordinates shift by the same amount.  Grades are
 stored as integer pairs on the lattice (1/unit)Z, unit the lcm of their
 denominators, and exposed as exact `fractions.Fraction`s; no floating
-point appears anywhere in this package.
+point appears anywhere in this package.  The grade codec is `grades`: this
+module loads it, and `fractions` with it, only where a grade is parsed or
+leaves the lattice, and serves its `Grade`, `as_grade` and `format_grade`.
 
 Besides the diamond itself the module provides its two classical
 symmetries (Serre duality and conjugation/Hodge symmetry), the diagonal
@@ -32,25 +34,18 @@ __all__ = [
 ]
 
 import math
-import re
 import sys
-from fractions import Fraction
 from functools import partial
+from importlib import import_module
 from operator import attrgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, Tuple, Union
 
 from .errors import GroupTooLargeError, ValidationError
 
-#: Exact rational bidegree coordinate.
-Grade = Fraction
-
 #: Anything `as_grade` accepts: an int, a Fraction, or an "a/b" string.
-GradeLike = Union[int, Fraction, str]
+GradeLike = Union[int, "Grade", str]
 
-GradeKey = Tuple[Grade, Grade]
-
-_GRADE_TEXT = re.compile(r"(-?\d+)(?:/(\d+))?", re.ASCII)
 _LATTICE_BITS = 1 << 24  # the keys of one map times the bits of their unit or level: about 2 MB of coordinates
 _int_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)  # 0: no limit, as before Python 3.10.7
 
@@ -60,39 +55,18 @@ def is_int(value) -> bool:
     return type(value) is int or (isinstance(value, int) and not isinstance(value, bool))
 
 
-def as_grade(value: GradeLike) -> Grade:
-    """Coerce an int, Fraction or exact string to a grade; the only grade parser.
-
-    A string must be "a" or "a/b" in lowest terms with b > 0, nothing else:
-    no decimals, exponents, signs other than a leading "-", or whitespace.
-    Floats are rejected: decimal notation cannot represent grades like 1/3
-    exactly, and silently accepting floats would corrupt exactness.
-    """
-    if isinstance(value, str):  # first: the file readers' case
-        if form := grade_form(value):
-            return Fraction(*form)
-    elif is_int(value):
-        return Fraction(value)
-    elif isinstance(value, Fraction):
-        return value
-    raise ValidationError(f"not an exact rational grade: {value!r} (use int, Fraction or 'a/b' in lowest terms)")
+def _lazy_names(module: str, homes: dict[str, str]):
+    """PEP 562 `__getattr__` and `__dir__` for `module`: each name in `homes` is read from the module it names,
+    imported on first use, and `dir` lists it before that."""
+    def __getattr__(name: str):
+        if name not in homes:
+            raise AttributeError(f"module {module!r} has no attribute {name!r}")
+        return getattr(import_module(homes[name], __package__), name)
+    return __getattr__, lambda: sorted({*vars(sys.modules[module]), *homes})
 
 
-def grade_form(text: str) -> tuple[int, int] | None:
-    """(a, b) for a grade string "a" or "a/b" in lowest terms with b > 0, else None: `as_grade`'s string case."""
-    if match := _GRADE_TEXT.fullmatch(text):
-        try:
-            num, den = int(match[1]), int(match[2] or 1)
-        except ValueError:  # digits past Python's int-to-string limit
-            return None
-        if den > 0 and math.gcd(num, den) == 1:
-            return num, den
-    return None
-
-
-def format_grade(g: Grade) -> str:
-    """Render a grade exactly: "2" for integers, "3/2" otherwise."""
-    return str(g.numerator) if g.denominator == 1 else f"{g.numerator}/{g.denominator}"
+# `Grade` is `fractions.Fraction`: `fractions` loads with the codec, where a grade is parsed or leaves the lattice.
+__getattr__, __dir__ = _lazy_names(__name__, dict.fromkeys(["Grade", "as_grade", "format_grade"], ".grades"))
 
 
 def check_dim(dim_n) -> None:
@@ -122,48 +96,10 @@ def _bounded_lcm(values: Iterable[int], count_keys) -> int:
     return unit
 
 
-def _format_key(key) -> str:
-    return f"({format_grade(key[0])},{format_grade(key[1])})" if isinstance(key, tuple) else str(key)
-
-
-def _lattice_point(x: GradeLike, y: GradeLike) -> tuple[int, int, int]:
-    """(a, c, b) with (as_grade(x), as_grade(y)) = (a/b, c/b), b the lcm of the two denominators."""
-    p, q = as_grade(x), as_grade(y)
-    b = math.lcm(p.denominator, q.denominator)
-    return p.numerator * (b // p.denominator), q.numerator * (b // q.denominator), b
-
-
-def _check_entry(dim_n: int, x, y, h) -> tuple[int, int, int]:
-    """The checks of one diamond entry h at the grade-likes (x, y), in order; returns its lattice point (a, c, b).
-
-    h is a nonnegative int, 0 <= a, c <= dim_n * b, and b divides a - c (p - q is an integer).
-    """
-    if not is_int(h):
-        raise ValidationError(f"dimension h^{{{x},{y}}} must be an integer, got {h!r}")
-    if h < 0:
-        raise ValidationError(f"negative dimension h^{{{x},{y}}} = {h}")
-    a, c, b = _lattice_point(x, y)
-    if not (0 <= a <= dim_n * b and 0 <= c <= dim_n * b):
-        raise ValidationError(f"grade {_format_key((Fraction(a, b), Fraction(c, b)))} outside [0, {dim_n}]")
-    if (a - c) % b:
-        raise ValidationError(f"p - q must be an integer; got {_format_key((Fraction(a, b), Fraction(c, b)))}")
-    return a, c, b
-
-
-def _check_form(dim_n: int, pn: int, pd: int, qn: int, qd: int, h) -> tuple[int, int, int]:
-    """`_check_entry` at the grades pn/pd and qn/qd in lowest terms, with its messages and no Fraction made."""
-    b = pd if pd == qd else math.lcm(pd, qd)
-    a, c = pn * (b // pd), qn * (b // qd)
-    if type(h) is not int or h < 0 or not (0 <= a <= dim_n * b and 0 <= c <= dim_n * b) or (a - c) % b:
-        _check_entry(dim_n, Fraction(pn, pd), Fraction(qn, qd), h)  # raises its message, or passes an int subclass
-    return a, c, b
-
-
-def _check_term(x, y, v) -> tuple[int, int, int]:
-    """The check of one stringy term v at (x, y), as `_check_entry`: v is an int."""
-    if not is_int(v):
-        raise ValidationError(f"coefficient at ({x},{y}) must be an integer, got {v!r}")
-    return _lattice_point(x, y)
+def _format_pair(pn: int, pd: int, qn: int, qd: int) -> str:
+    """"(p,q)" for the grades p = pn/pd and q = qn/qd, pd and qd > 0, as `format_grade` writes them: no Fraction."""
+    text = [str(n // g) if (g := math.gcd(n, d)) == d else f"{n // g}/{d // g}" for n, d in ((pn, pd), (qn, qd))]
+    return f"({text[0]},{text[1]})"
 
 
 class _SparseMap:
@@ -212,7 +148,9 @@ class _SparseMap:
         return hash((self._dim_n, self._unit, frozenset(self._map.items())))
 
     def __repr__(self) -> str:
-        body = ", ".join(f"{_format_key(k)}: {v}" for k, v in self.items())
+        u = self._unit
+        body = ", ".join(f"{_format_pair(k[0], u, k[1], u) if type(k) is tuple else k}: {v}"
+                         for k, v in self._map.items())
         dim = "" if self._dim_n is None else f"dim_n={self._dim_n}, "
         return f"{type(self).__name__}({dim}{{{body}}})"
 
@@ -231,17 +169,21 @@ class _GradedMap(_SparseMap):
 
     __slots__ = ()
 
-    def _store(self, dim_n: int | None, pairs: Iterable, check) -> None:
+    def _store(self, dim_n: int | None, pairs: Iterable, check=None) -> None:
         """Sum each (key, value) at its lowest-terms point, (a, c) on Z or (a, c, b); store on the lcm of the b.
 
         A pair of exact-int grades with an exact-int value, for a diamond (`dim_n` not None) in [0, dim_n] and >= 0,
-        is its own point on Z after one type test per field.  Any other entry goes to `check(*key, value)`, which
+        is its own point on Z after one type test per field.  Any other entry goes to `check(*key, value)`, by default
+        the codec's `_check_entry` at `dim_n` (`_check_term` without one), imported at the first such entry; it
         raises its message or returns (a, c, b).  With every point on Z, no lcm is taken."""
         sums: dict[tuple[int, ...], int] = {}
         fractional = False
         for key, v in pairs:
             if not (type(key) is tuple and len(key) == 2 and type(x := key[0]) is int and type(y := key[1]) is int
                     and type(v) is int and (dim_n is None or 0 <= x <= dim_n and 0 <= y <= dim_n and v >= 0)):
+                if check is None:
+                    from .grades import _check_entry, _check_term
+                    check = _check_term if dim_n is None else partial(_check_entry, dim_n)
                 a, c, b = check(*key, v)
                 key = (a, c) if b == 1 else (a, c, b)
                 fractional |= b != 1
@@ -278,13 +220,15 @@ class _GradedMap(_SparseMap):
             text[x] = whole(x // g) if g == unit else f"{quote}{x // g}/{unit // g}{quote}"
         return text
 
-    def items(self) -> list[tuple[GradeKey, int]]:
+    def items(self) -> list[tuple[tuple[Grade, Grade], int]]:
         """The stored (key, value) pairs in key order, each grade an exact Fraction, made once per coordinate."""
+        from fractions import Fraction
         g = {x: Fraction(x, self._unit) for x in {x for key in self._map for x in key}}
         return [((g[a], g[c]), v) for (a, c), v in self._map.items()]
 
     def _get(self, p: GradeLike, q: GradeLike) -> int:
         """The value at (p, q); 0 for any key not stored, on the lattice or off it."""
+        from .grades import _lattice_point
         a, c, b = _lattice_point(p, q)
         if self._unit % b:
             return 0
@@ -322,12 +266,13 @@ class HodgeDiamond(_GradedMap):
         if not is_int(level) or level < 1:
             raise ValidationError(f"level must be a positive integer, got {level!r}")
         items = entries.items() if isinstance(entries, Mapping) else entries
-        self._store(dim_n, items, partial(_check_entry, dim_n))
+        self._store(dim_n, items)
         self._level = math.lcm(level, self._unit)
 
     @classmethod
     def _from_forms(cls, dim_n: int, forms: Iterable[tuple[tuple[int, int, int, int], int]]) -> "HodgeDiamond":
         """`cls(dim_n, entries)` from grades as lowest-terms integers (pn, pd, qn, qd): the same checks, no Fraction."""
+        from .grades import _check_form
         check_dim(dim_n)
         made = cls.__new__(cls)
         made._store(dim_n, forms, partial(_check_form, dim_n))
@@ -392,7 +337,7 @@ class StringyPolynomial(_GradedMap):
     __slots__ = ()
 
     def __init__(self, terms: Mapping[Tuple[GradeLike, GradeLike], int]):
-        self._store(None, terms.items(), _check_term)
+        self._store(None, terms.items())
 
     terms = _SparseMap._view
     coefficient = _GradedMap._get

@@ -20,7 +20,8 @@ Two document kinds, both a single top-level JSON object:
       {"name": "...", "dim": 2, "entries": [{"p": 0, "q": 0, "h": 1}, ...]}
 
 Grades are JSON integers or exact strings "a/b" in lowest terms, never
-decimals; `as_grade` is the one parser.  An int pair is read as it is,
+decimals; they are read and written through the grade codec `grades`,
+whose `as_grade` is the one parser.  An int pair is read as it is,
 and each distinct string is parsed once per entry list.  The optional sector
 field "count" is the sector's multiplicity: it is kept, not expanded, as the
 count of a (component, count) pair, and canonical output writes it back when
@@ -39,13 +40,13 @@ reads generator requests, and `catalog` reads JSON text and picks the reader.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Callable
 
 from .catalog import loads, read_json  # re-exported: the strict text reader lives in `catalog`
-from .diamond import Grade, HodgeDiamond, _format_key, as_grade, format_grade, grade_form
+from .diamond import HodgeDiamond, _format_pair
 from .errors import ParseError, ValidationError
+from .grades import Grade, as_grade, format_grade, grade_form
 from .inertia import InertiaComponent, OrbifoldPresentation
 from .quotient import _from_json_shape, _presentation_from_generator, _require_int, _require_keys, _require_str
 
@@ -60,7 +61,7 @@ def grade_to_json(g: Grade) -> int | str:
     return g.numerator if g.denominator == 1 else format_grade(g)
 
 
-def grade_from_json(value: Any, where: str) -> Fraction:
+def grade_from_json(value: Any, where: str) -> Grade:
     """`as_grade` of a JSON value, failing with a ParseError that names `where`."""
     try:
         return as_grade(value)
@@ -100,7 +101,7 @@ def _entries_from_json(raw: Any, where: Callable[[], str]) -> tuple[tuple[tuple[
         if type(h) is not int:
             _require_int(h, f"{where()}[{k}]")
         if key in seen:
-            raise ParseError(f"{where()}[{k}]: duplicate entry at {_format_key((Fraction(*key[:2]), Fraction(*key[2:])))}")
+            raise ParseError(f"{where()}[{k}]: duplicate entry at {_format_pair(*key)}")
         seen[key] = h
     return tuple(seen.items())
 

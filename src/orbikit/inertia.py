@@ -39,9 +39,8 @@ __all__ = [
 ]
 
 import math
-from fractions import Fraction
 
-from .diamond import Grade, HodgeDiamond, StringyPolynomial, _bounded_lcm, _format_key, _Record, _set, check_dim, is_int
+from .diamond import HodgeDiamond, StringyPolynomial, _bounded_lcm, _format_pair, _Record, _set, check_dim, is_int
 from .errors import OutOfRangeError, PseudoReflectionError, ValidationError
 
 
@@ -98,8 +97,9 @@ class InertiaComponent(_Record):
     def is_untwisted(self) -> bool:
         return self.order_l == 1
 
-    def age(self) -> Grade:
+    def age(self) -> Fraction:
         """Age (shift number) of the sector: sum of exponents over l."""
+        from fractions import Fraction
         return Fraction(sum(self.exponents), self.order_l)
 
     def sort_key(self):
@@ -221,8 +221,7 @@ def assemble_diamond(p: OrbifoldPresentation) -> HodgeDiamond:
                 kp, kq = i * level + shift, j * level + shift
                 if not (0 <= kp <= top and 0 <= kq <= top):
                     raise OutOfRangeError(
-                        f"sector {c.label!r} shifts ({i},{j}) to "
-                        f"{_format_key((Fraction(kp, level), Fraction(kq, level)))} outside [0, {n}]"
+                        f"sector {c.label!r} shifts ({i},{j}) to {_format_pair(kp, level, kq, level)} outside [0, {n}]"
                     )
         if (group := groups.get(id(coarse))) is None:
             groups[id(coarse)] = (coarse, {shift: count})

@@ -29,7 +29,6 @@ __all__ = [
 ]
 
 from enum import Enum
-from fractions import Fraction
 from typing import Mapping, Optional
 
 from .diamond import (
@@ -37,7 +36,7 @@ from .diamond import (
     HodgeDiamond,
     SymmetryReport,
     _column_sums,
-    _format_key,
+    _format_pair,
     _Record,
     _set,
     check_dim,
@@ -162,6 +161,7 @@ def _differences(constraint: str, a: Mapping, b: Mapping) -> list[Mismatch]:
 
 def _entry_differences(a: HodgeDiamond, b: HodgeDiamond) -> list[Mismatch]:
     """`_differences` of the entries of two integer-graded diamonds, read on their lattices (unit 1)."""
+    from fractions import Fraction
     return [Mismatch(m.constraint, (Fraction(m.index[0]), Fraction(m.index[1])), m.left, m.right)
             for m in _differences("entry", a.lattice()[1], b.lattice()[1])]
 
@@ -289,7 +289,7 @@ def mckay_compare(orb: HodgeDiamond, resolution: HodgeDiamond) -> McKayReport:
         unit, m = orb.lattice()
         a, c = next(key for key in m if key[0] % unit)
         raise NonGorensteinOrbifoldError(
-            f"orbifold diamond has fractional grade {_format_key((Fraction(a, unit), Fraction(c, unit)))}; "
+            f"orbifold diamond has fractional grade {_format_pair(a, unit, c, unit)}; "
             "the comparison needs Gorenstein singularities"
         )
     if not resolution.is_integer_graded():

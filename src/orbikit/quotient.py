@@ -1,12 +1,8 @@
 """Automated inertia presentations for two global-quotient families.
 
-* Diagonal actions of finite abelian groups on projective space P^n.
-  Sectors are enumerated per group element from the eigenspace
-  decomposition of the homogeneous coordinates; for diagonal abelian
-  actions the conjugation-invariants step of the global-quotient formula
-  is trivial (conjugation is trivial and the action on each fixed
-  component's cohomology preserves the hyperplane class), so sectors and
-  ages can be listed mechanically.
+* Diagonal actions of finite abelian groups on projective space P^n: the
+  module `projective`, whose spec and builder are served here and imported
+  on the family's first request, so a Kummer input never loads it.
 
 * Kummer involutions: a complex torus of dimension n modulo negation.
   The untwisted sector carries the (-1)-invariant part of the torus
@@ -15,7 +11,8 @@
 
 Anything outside these two families (non-abelian groups, non-diagonal
 actions) must be entered as raw inertia data instead.  Generator request
-documents are read here, so neither catalog names nor generator files load `formats`.
+documents are read here, so neither catalog names nor generator files load `formats`,
+and with it the grade codec `grades`: no family reads a grade.
 """
 
 __all__ = [
@@ -28,11 +25,10 @@ __all__ = [
 
 # No `from __future__ import annotations`: a generator request's "params" shapes are the spec `__init__` annotations.
 import math
-from functools import cache
-from itertools import product
+import sys
 
-from .diamond import HodgeDiamond, _Record, _set, is_int
-from .errors import DimensionTooSmallError, GroupTooLargeError, ParseError, ScalarActionError, ValidationError
+from .diamond import HodgeDiamond, _lazy_names, _Record, _set, is_int
+from .errors import DimensionTooSmallError, GroupTooLargeError, ParseError, ValidationError
 from .inertia import InertiaComponent, OrbifoldPresentation
 
 #: The one enumeration budget: the group order and the n + 1 coordinates of P^n, whose product
@@ -44,47 +40,6 @@ def check_budget(size: int, message: str) -> None:
     """Raise GroupTooLargeError(message) when `size` exceeds `MAX_GROUP_ORDER`."""
     if size > MAX_GROUP_ORDER:
         raise GroupTooLargeError(message)
-
-
-class ProjectiveQuotientSpec(_Record):
-    """Diagonal action of G = Z/m_1 x ... x Z/m_k on P^n.
-
-    Row j of `weights` lists the exponents of generator j acting on the
-    n + 1 homogeneous coordinates; entries are reduced mod m_j.
-    """
-
-    __slots__ = ("proj_dim_n", "cyclic_orders", "weights")
-
-    def __init__(self, proj_dim_n: int, cyclic_orders: tuple[int, ...], weights: tuple[tuple[int, ...], ...]):
-        n = proj_dim_n
-        if not is_int(n) or n < 1:
-            raise ValidationError(f"projective dimension must be a positive integer, got {n!r}")
-        orders = tuple(cyclic_orders)
-        for m in orders:
-            if not is_int(m) or m < 1:
-                raise ValidationError(f"cyclic orders must be positive integers, got {m!r}")
-        rows = tuple(tuple(row) for row in weights)
-        if len(rows) != len(orders):
-            raise ValidationError(
-                f"{len(orders)} generators but {len(rows)} weight rows"
-            )
-        reduced = []
-        for m, row in zip(orders, rows):
-            if len(row) != n + 1:
-                raise ValidationError(
-                    f"weight row {row} has {len(row)} entries, expected {n + 1}"
-                )
-            for w in row:
-                if not is_int(w):
-                    raise ValidationError(f"weights must be integers, got {w!r}")
-            reduced.append(tuple(w % m for w in row))
-        _set(self, "proj_dim_n", n)
-        _set(self, "cyclic_orders", orders)
-        _set(self, "weights", tuple(reduced))
-
-    @property
-    def group_order(self) -> int:
-        return math.prod(self.cyclic_orders)
 
 
 class KummerSpec(_Record):
@@ -113,74 +68,6 @@ def torus_invariant_diamond(n: int) -> HodgeDiamond:
     return HodgeDiamond(n, {(p, q): row[p] * row[q] for p in range(n + 1) for q in range(p % 2, n + 1, 2)})
 
 
-def build_projective_quotient(spec: ProjectiveQuotientSpec, name: str | None = None) -> OrbifoldPresentation:
-    """Inertia presentation of P^n by a diagonal abelian action.
-
-    For every group element g the coordinates split into eigenspaces
-    V_chi; each nonzero V_chi contributes the fixed component P(V_chi)
-    with the diamond of projective space as coarse data.  Writing l for
-    the order of g acting on P^n, the tangent exponents at P(V_chi) are
-    the differences (chi' - chi) scaled to [0, l - 1], one per coordinate
-    in the other eigenspaces, padded with dim V_chi - 1 zeros along the
-    component.  The identity element contributes the untwisted P^n sector.
-    The generator power rows are folded once into one eigenvalue row per
-    element (a cyclic group's rows are its m power rows), so each element
-    sorts its n + 1 eigenvalues once; their turns past the smallest, on
-    Z/l, are doubled by one full turn, so each eigenspace's exponents are
-    the next n turns less its own, already sorted.
-
-    Raises ScalarActionError if a nonidentity element acts as a scalar
-    (the action would not be effective on P^n).  If g fixes a hyperplane
-    P(V_chi), that component's PseudoReflectionError names `g=(t) eig=chi`.
-    GroupTooLargeError comes first when |G| or n + 1 exceeds `MAX_GROUP_ORDER`
-    (10 000), or |G|·(n + 1) exceeds 40 000: no element is enumerated.
-    """
-    n = spec.proj_dim_n
-    order = spec.group_order
-    check_budget(order, f"group order {order} exceeds the limit {MAX_GROUP_ORDER}")
-    check_budget(n + 1, f"projective dimension {n} has {n + 1} coordinates, which exceeds the limit {MAX_GROUP_ORDER}")
-    if order * (n + 1) > 4 * MAX_GROUP_ORDER:  # every order the budget admits still acts on P^3
-        raise GroupTooLargeError(f"group order {order} times {n + 1} coordinates exceeds the limit {4 * MAX_GROUP_ORDER}")
-    big = math.lcm(1, *spec.cyclic_orders)
-    # Per generator, one row per power k: the exponent of zeta_big by which g^k turns each coordinate.
-    powers = [[[k * (big // m) * w % big for w in row] for k in range(m)] for m, row in zip(spec.cyclic_orders, spec.weights)]
-    # One eigenvalue row per element, in `product` order: each further generator's rows folded into the first's.
-    rows = powers[0] if powers else [[0] * (n + 1)]
-    for steps in powers[1:]:
-        rows = [[(a + b) % big for a, b in zip(r, s)] for r in rows for s in steps]
-    # Every fixed component is a P^k, k <= n: one shared diamond per k, built on first use.
-    projective = cache(HodgeDiamond.projective_space)
-
-    components: list[tuple[InertiaComponent, int]] = []
-    for t, row in zip(product(*(range(m) for m in spec.cyclic_orders)), rows):
-        if not any(t):
-            components.append((InertiaComponent(1, (0,) * n, projective(n), label="untwisted"), 1))
-            continue
-        eig = sorted(row)
-        turns = [e - eig[0] for e in eig]  # each eigenvalue's turn past eig[0] on Z/big, sorted in [0, big)
-        # Projective order l: least d with all pairwise eigenvalue differences killed mod the big order (1 for a scalar).
-        g0 = math.gcd(big, *turns)
-        if g0 == big:
-            raise ScalarActionError(f"element with generator powers {t} acts as a scalar on P^{n}")
-        l = big // g0
-        if g0 != 1:
-            turns = [d // g0 for d in turns]  # now on Z/l
-        turns += [x + l for x in turns]  # doubled: the earlier eigenvalues once more, one full turn on
-        prefix = f"g=({','.join(map(str, t))}) eig="
-        for j, chi in enumerate(eig):
-            if j and chi == eig[j - 1]:
-                continue
-            # Read off sorted: dim V_chi - 1 zeros, the later eigenvalues' turns, then the earlier ones' past a full turn.
-            exponents = tuple([x - turns[j] for x in turns[j + 1:j + 1 + n]])
-            components.append((InertiaComponent(l, exponents, projective(eig.count(chi) - 1), prefix + str(chi)), 1))
-    if name is None:
-        if spec.cyclic_orders:
-            name = f"p{n}_" + "x".join(f"z{m}" for m in spec.cyclic_orders)
-        else:
-            name = f"p{n}_trivial"
-    return OrbifoldPresentation(n, components, name=name)
-
-
 def build_kummer(spec: KummerSpec | int, name: str | None = None) -> OrbifoldPresentation:
     """Inertia presentation of an n-torus modulo negation, n >= 2.
 
@@ -202,11 +89,13 @@ def build_kummer(spec: KummerSpec | int, name: str | None = None) -> OrbifoldPre
     return OrbifoldPresentation(n, components, name=name if name is not None else f"kummer{n}")
 
 
-#: Generator files' families: spec type (its `__init__` parameters are the "params") and builder.
+#: Generator files' families: the names of the spec type (its `__init__` parameters are the "params") and of the
+#: builder, read from this module, which loads a family defined elsewhere through `__getattr__` on first request.
 GENERATORS = {
-    "kummer": (KummerSpec, build_kummer),
-    "projective_quotient": (ProjectiveQuotientSpec, build_projective_quotient),
+    "kummer": ("KummerSpec", "build_kummer"),
+    "projective_quotient": ("ProjectiveQuotientSpec", "build_projective_quotient"),
 }
+__getattr__, __dir__ = _lazy_names(__name__, dict.fromkeys(GENERATORS["projective_quotient"], ".projective"))
 
 
 def _require_int(value: object, where: str) -> int:
@@ -252,7 +141,7 @@ def _presentation_from_generator(obj: dict) -> OrbifoldPresentation:
     name = _require_str(obj["name"], "name") if "name" in obj else None
     if family not in GENERATORS:
         raise ParseError(f"unknown generator family {family!r}")
-    spec_type, build = GENERATORS[family]
+    spec_type, build = (getattr(sys.modules[__name__], n) for n in GENERATORS[family])
     shapes = spec_type.__init__.__annotations__  # real types: this module does not postpone its annotations
     _require_keys(params, set(shapes), set(), "params")
     spec = spec_type(*(_from_json_shape(params[name], shape, f"params.{name}") for name, shape in shapes.items()))

@@ -19,7 +19,7 @@ from orbikit import (
     serre_dual,
     stringy_e,
 )
-from orbikit.diamond import _check_entry, _check_term
+from orbikit.grades import _check_entry, _check_term
 from support import K3_DIAMOND, KUMMER3_DIAMOND, P2_MU3_DIAMOND
 
 
@@ -64,6 +64,7 @@ def test_as_grade_accepts_exact_forms():
     assert as_grade("3/2") == Fraction(3, 2)
     assert as_grade("-1/3") == Fraction(-1, 3) and as_grade("4") == Fraction(4)
     assert as_grade(Fraction(1, 3)) == Fraction(1, 3)
+    assert as_grade("0") == as_grade("0/1") == Fraction(0) and as_grade("10/3") == Fraction(10, 3)
 
 
 def test_as_grade_rejects_floats_and_junk():
@@ -75,7 +76,7 @@ def test_as_grade_rejects_floats_and_junk():
         as_grade(True)
 
 
-@pytest.mark.parametrize("text", ["1.5", "1e0", "3/2\n", "2/4", "1/0", "-3/-2", "\u0663"])
+@pytest.mark.parametrize("text", ["1.5", "1e0", "3/2\n", "2/4", "1/0", "-3/-2", "\u0663", "01", "1/02", "-0", "-0/1", "00"])
 def test_as_grade_rejects_text_outside_lowest_terms(text):
     with pytest.raises(ValidationError):
         as_grade(text)

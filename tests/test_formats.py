@@ -19,7 +19,7 @@ from orbikit import (
     hochschild_via_sectors,
 )
 from orbikit.cli import render_json
-from orbikit.diamond import grade_form
+from orbikit.grades import grade_form
 from orbikit.formats import (
     diamond_from_obj,
     diamond_to_obj,
@@ -449,6 +449,11 @@ ENTRY_FAULTS = {
                                        {"p": Fraction(1, 2), "q": Fraction(1, 2), "h": 2}],
                                       "entries[3]: duplicate entry at (1/2,1/2)"),
     "grade_true": (_entry(p=True), "entries[0]: " + GRADE_ERROR.format("True")),
+    # One spelling per grade: no leading zero and no "-0", though "0/1" stays.
+    "grade_leading_zero": (_entry(p="01"), "entries[0]: " + GRADE_ERROR.format("'01'")),
+    "grade_denominator_leading_zero": (_entry(q="1/02"), "entries[0]: " + GRADE_ERROR.format("'1/02'")),
+    "grade_minus_zero": (_entry(p="-0"), "entries[0]: " + GRADE_ERROR.format("'-0'")),
+    "grade_minus_zero_over_one": (_entry(q="-0/1"), "entries[0]: " + GRADE_ERROR.format("'-0/1'")),
 }
 
 

@@ -12,10 +12,18 @@ def _python(*args):
     return proc
 
 
+# `python -m orbikit ARGV`, run by `runpy` as `-m` runs it, then the name of every module in `sys.modules` at exit,
+# one a line on standard error.  `-X importtime` would miss a module loaded through `importlib.import_module`.
+RUN_AND_LIST_MODULES = """\
+import atexit, runpy, sys
+atexit.register(lambda: print(*sys.modules, sep="\\n", file=sys.stderr))
+runpy.run_module("orbikit", run_name="__main__", alter_sys=True)
+"""
+
+
 def cli_imports(*argv):
-    """Every module that `python -m orbikit ARGV` imports, read from `-X importtime`."""
-    lines = _python("-X", "importtime", "-m", "orbikit", *argv).stderr.splitlines()
-    return {line.rsplit("|", 1)[-1].strip() for line in lines if line.startswith("import time:")}
+    """Every module loaded when `python -m orbikit ARGV` exits, however it was imported."""
+    return set(_python("-c", RUN_AND_LIST_MODULES, *argv).stderr.splitlines())
 
 
 # No command imports `dataclasses`, or `inspect`, `ast` and `dis` with it: the records are plain `__slots__` classes.
@@ -47,11 +55,36 @@ def test_catalog_names_import_neither_formats_nor_json(argv):
     assert not {"orbikit.formats", "json"} & imported
 
 
-def test_a_generator_file_imports_json_but_not_formats(tmp_path):
+@pytest.fixture
+def kummer_file(tmp_path):
     path = tmp_path / "k2.json"
     path.write_text('{"family": "kummer", "params": {"torus_dim_n": 2}, "name": "kummer2"}')
-    imported = cli_imports("diamond", str(path), "--format", "json")
+    return str(path)
+
+
+def test_a_generator_file_imports_json_but_not_formats(kummer_file):
+    imported = cli_imports("diamond", kummer_file, "--format", "json")
     assert "json" in imported and "orbikit.formats" not in imported
+
+
+# A grade leaves the lattice as a `Fraction` only in the library and in `formats`: these commands make none, so
+# neither `fractions` nor the `decimal` and `numbers` it imports loads.  A Kummer input needs neither the grade
+# codec nor the projective family.
+@pytest.mark.parametrize("argv, kummer", [
+    (["diamond", "kummer2"], True),
+    (["diamond", "{kummer_file}", "--format", "json"], True),
+    (["check", "p2_mu3", "--gorenstein"], False),
+    (["partners", "kummer2", "kummer2"], False),
+])
+def test_catalog_names_and_generator_files_load_no_fractions(kummer_file, argv, kummer):
+    imported = cli_imports(*(arg.format(kummer_file=kummer_file) for arg in argv))
+    assert not {"fractions", "decimal", "numbers"} & imported
+    if kummer:
+        assert not {"orbikit.grades", "orbikit.projective"} & imported
+
+
+def test_a_projective_quotient_loads_its_family_module():
+    assert "orbikit.projective" in cli_imports("diamond", "p2_mu3")
 
 
 @pytest.mark.parametrize("argv", [["diamond", "{explicit}"], ["catalog", "--format", "json"]])
@@ -98,3 +131,41 @@ def test_formats_catalog_and_cli_resolve_by_attribute():
         "try:\n    orbikit.nope\nexcept AttributeError as exc:\n    print(exc)"
     )
     assert out == "False True orbikit.catalog True\nmodule 'orbikit' has no attribute 'nope'\n"
+
+
+# Names that `diamond` and `quotient` load on first use, each case in its own fresh interpreter.
+LAZY_NAMES = {
+    "package_grade": "import fractions\nprint(orbikit.Grade is fractions.Fraction)",
+    "diamond_names": (
+        "from orbikit.diamond import Grade, as_grade, format_grade\nimport fractions\n"
+        "print(Grade is fractions.Fraction and format_grade(as_grade('-1/3')) == '-1/3')"
+    ),
+    "quotient_names": (
+        "from orbikit.quotient import build_projective_quotient, ProjectiveQuotientSpec\n"
+        "print(build_projective_quotient(ProjectiveQuotientSpec(2, (3,), ((0, 1, 2),))).name == 'p2_z3')"
+    ),
+    "dir_before_use": (
+        "import orbikit.diamond as d, orbikit.quotient as q\n"
+        "print({'Grade', 'as_grade', 'format_grade'} <= set(dir(d)), "
+        "{'build_projective_quotient', 'ProjectiveQuotientSpec'} <= set(dir(q)), "
+        "not {'fractions', 'orbikit.grades', 'orbikit.projective'} & set(sys.modules))"
+    ),
+    "fraction_keys": (
+        "from fractions import Fraction\n"
+        "print({type(x) for key in orbikit.HodgeDiamond(2, {(1, 1): 1}).entries for x in key} == {Fraction})"
+    ),
+    "missing_names": (
+        "import orbikit.diamond as d, orbikit.quotient as q\n"
+        "for m in (d, q):\n"
+        "    try:\n        m.nope\n    except AttributeError as exc:\n        print(exc)"
+    ),
+}
+LAZY_OUT = {
+    "dir_before_use": "True True True\n",
+    "missing_names": "module 'orbikit.diamond' has no attribute 'nope'\nmodule 'orbikit.quotient' has no attribute 'nope'\n",
+}
+
+
+@pytest.mark.parametrize("case", LAZY_NAMES)
+def test_lazy_names_resolve_in_a_fresh_interpreter(case):
+    assert run_fresh(LAZY_NAMES[case]) == LAZY_OUT.get(case, "True\n")

@@ -338,11 +338,19 @@ def test_integer_keys_are_not_parsed_as_grades(monkeypatch):
     def refuse(value):
         raise AssertionError(f"as_grade({value!r}) called for an integer key")
 
-    monkeypatch.setattr("orbikit.diamond.as_grade", refuse)
+    monkeypatch.setattr("orbikit.grades.as_grade", refuse)
     for name, build in INT_KEYED.items():
         d = build()
         assert d == unpatched[name] and d.lattice() == unpatched[name].lattice(), name
         assert repr(d) == repr(unpatched[name]) and d.level == unpatched[name].level, name
+
+
+def test_repr_writes_each_key_as_format_grade_does():
+    assert repr(HodgeDiamond(2, {(0, 0): 1, ("1/2", "1/2"): 3, (1, 1): 2})) == (
+        "HodgeDiamond(dim_n=2, {(0,0): 1, (1/2,1/2): 3, (1,1): 2})"
+    )
+    assert repr(StringyPolynomial({("-3/2", "1/2"): -1, (2, 0): 1})) == "StringyPolynomial({(-3/2,1/2): -1, (2,0): 1})"
+    assert repr(ColumnVector(1, {-1: 2, 0: 1})) == "ColumnVector(dim_n=1, {-1: 2, 0: 1})"
 
 
 def test_int_subclass_keys_are_stored_as_plain_ints():
