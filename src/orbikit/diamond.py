@@ -7,9 +7,9 @@ sectors shift cohomology by a fractional age; p - q nevertheless stays an
 integer because both coordinates shift by the same amount.  Grades are
 stored as integer pairs on the lattice (1/unit)Z, unit the lcm of their
 denominators, and exposed as exact `fractions.Fraction`s; no floating
-point appears anywhere in this package.  The grade codec is `grades`: this
-module loads it, and `fractions` with it, only where a grade is parsed or
-leaves the lattice, and serves its `Grade`, `as_grade` and `format_grade`.
+point appears anywhere in this package.  The grade codec is `grades`, home
+of `Grade`, `as_grade` and `format_grade`: this module loads it, and
+`fractions` with it, only where a grade is parsed or leaves the lattice.
 
 Besides the diamond itself the module provides its two classical
 symmetries (Serre duality and conjugation/Hodge symmetry), the diagonal
@@ -20,23 +20,9 @@ them into diamonds.
 
 from __future__ import annotations
 
-__all__ = [
-    "ColumnVector",
-    "Grade",
-    "HodgeDiamond",
-    "StringyPolynomial",
-    "SymmetryReport",
-    "as_grade",
-    "check_symmetries",
-    "columns",
-    "format_grade",
-    "serre_dual",
-]
-
 import math
 import sys
 from functools import partial
-from importlib import import_module
 from operator import attrgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, Tuple, Union
@@ -53,20 +39,6 @@ _int_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)  # 0: no
 def is_int(value) -> bool:
     """True for an int that is not a bool, the integer check of every validator."""
     return type(value) is int or (isinstance(value, int) and not isinstance(value, bool))
-
-
-def _lazy_names(module: str, homes: dict[str, str]):
-    """PEP 562 `__getattr__` and `__dir__` for `module`: each name in `homes` is read from the module it names,
-    imported on first use, and `dir` lists it before that."""
-    def __getattr__(name: str):
-        if name not in homes:
-            raise AttributeError(f"module {module!r} has no attribute {name!r}")
-        return getattr(import_module(homes[name], __package__), name)
-    return __getattr__, lambda: sorted({*vars(sys.modules[module]), *homes})
-
-
-# `Grade` is `fractions.Fraction`: `fractions` loads with the codec, where a grade is parsed or leaves the lattice.
-__getattr__, __dir__ = _lazy_names(__name__, dict.fromkeys(["Grade", "as_grade", "format_grade"], ".grades"))
 
 
 def check_dim(dim_n) -> None:
@@ -197,11 +169,12 @@ class _GradedMap(_SparseMap):
 
     @classmethod
     def _from_lattice(cls, dim_n: int | None, unit: int, acc: Mapping[tuple[int, int], int]):
-        """`cls` storing a map on (1/unit)Z that `inertia` summed, as given: nothing checked, no `level` set.
+        """`cls` storing a map on (1/unit)Z that `inertia` summed or `serre_dual` reflected, as given: nothing checked,
+        no `level` set.
 
-        Precondition, proved by `inertia.assemble_diamond`: keys lie in [0, dim_n * unit]^2 with unit dividing
-        a - c, unit is the lcm of the keys' reduced denominators, and values are positive sums of h times
-        counts, signed by (-1)^{p-q} for stringy terms.
+        Precondition, proved by `inertia.assemble_diamond` and kept by the reflection: keys lie in [0, dim_n * unit]^2
+        with unit dividing a - c, unit is the lcm of the keys' reduced denominators, and values are positive sums of
+        h times counts, signed by (-1)^{p-q} for stringy terms.
         """
         made = cls.__new__(cls)
         _SparseMap.__init__(made, dim_n, acc, unit)
@@ -386,9 +359,12 @@ class SymmetryReport(_Record):
 
 
 def serre_dual(d: HodgeDiamond) -> HodgeDiamond:
-    """The diamond with entry (p, q) taken from (n-p, n-q) of the input."""
-    n = d.dim_n
-    return HodgeDiamond(n, {(n - p, n - q): h for (p, q), h in d.items()}, level=d.level)
+    """The diamond with entry (p, q) taken from (n-p, n-q) of the input, and its `level`, read off the lattice."""
+    unit, m = d.lattice()
+    top = d.dim_n * unit
+    dual = HodgeDiamond._from_lattice(d.dim_n, unit, {(top - a, top - c): h for (a, c), h in m.items()})
+    dual._level = d.level
+    return dual
 
 
 def check_symmetries(d: HodgeDiamond) -> SymmetryReport:

@@ -1,21 +1,5 @@
 """Exception hierarchy shared across the package."""
 
-__all__ = [
-    "OrbikitError",
-    "ParseError",
-    "ValidationError",
-    "PseudoReflectionError",
-    "ScalarActionError",
-    "GroupTooLargeError",
-    "DimensionTooSmallError",
-    "OutOfRangeError",
-    "ParityError",
-    "NonGorensteinOrbifoldError",
-    "DimensionMismatchError",
-    "InconsistentError",
-    "UnsupportedDimensionError",
-]
-
 
 class OrbikitError(Exception):
     """Base class for every error raised by this package; subclasses set the CLI `exit_code`."""

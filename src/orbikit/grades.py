@@ -1,6 +1,7 @@
 """The grade codec: a grade is a `fractions.Fraction`, written "a" or "a/b" in lowest terms with b > 0, with no
 leading zero and no "-0"; here it is parsed, written and checked as one entry's key.  `diamond`, which stores grades as
-integers, imports it only for an entry that is not an exact-int pair and for `entry` and `coefficient`."""
+integers, imports it only for an entry that is not an exact-int pair and for `entry` and `coefficient`; the package
+imports it for `Grade`, `as_grade` and `format_grade`, whose home it is."""
 
 import math
 import re

@@ -29,15 +29,6 @@ when the quotient singularities are Gorenstein; else grades are fractional.
 
 from __future__ import annotations
 
-__all__ = [
-    "stringy_e",
-    "InertiaComponent",
-    "OrbifoldPresentation",
-    "assemble_diamond",
-    "extract_h0q",
-    "is_gorenstein",
-]
-
 import math
 
 from .diamond import HodgeDiamond, StringyPolynomial, _bounded_lcm, _format_pair, _Record, _set, check_dim, is_int

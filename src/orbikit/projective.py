@@ -1,4 +1,5 @@
-"""Diagonal actions of finite abelian groups on projective space P^n, a family that `quotient` loads on first request.
+"""Diagonal actions of finite abelian groups on projective space P^n, a family loaded on first request: by a generator
+file through `quotient.GENERATORS`, or by the package for `ProjectiveQuotientSpec` and `build_projective_quotient`.
 
 Sectors are enumerated per group element from the eigenspace decomposition of the homogeneous coordinates; for
 diagonal abelian actions the conjugation-invariants step of the global-quotient formula is trivial (conjugation is

@@ -1,8 +1,8 @@
 """Automated inertia presentations for two global-quotient families.
 
 * Diagonal actions of finite abelian groups on projective space P^n: the
-  module `projective`, whose spec and builder are served here and imported
-  on the family's first request, so a Kummer input never loads it.
+  module `projective`, which `GENERATORS` names and a generator request
+  imports on the family's first request, so a Kummer input never loads it.
 
 * Kummer involutions: a complex torus of dimension n modulo negation.
   The untwisted sector carries the (-1)-invariant part of the torus
@@ -15,19 +15,11 @@ documents are read here, so neither catalog names nor generator files load `form
 and with it the grade codec `grades`: no family reads a grade.
 """
 
-__all__ = [
-    "KummerSpec",
-    "ProjectiveQuotientSpec",
-    "build_kummer",
-    "build_projective_quotient",
-    "torus_invariant_diamond",
-]
-
 # No `from __future__ import annotations`: a generator request's "params" shapes are the spec `__init__` annotations.
 import math
-import sys
+from importlib import import_module
 
-from .diamond import HodgeDiamond, _lazy_names, _Record, _set, is_int
+from .diamond import HodgeDiamond, _Record, _set, is_int
 from .errors import DimensionTooSmallError, GroupTooLargeError, ParseError, ValidationError
 from .inertia import InertiaComponent, OrbifoldPresentation
 
@@ -89,13 +81,12 @@ def build_kummer(spec: KummerSpec | int, name: str | None = None) -> OrbifoldPre
     return OrbifoldPresentation(n, components, name=name if name is not None else f"kummer{n}")
 
 
-#: Generator files' families: the names of the spec type (its `__init__` parameters are the "params") and of the
-#: builder, read from this module, which loads a family defined elsewhere through `__getattr__` on first request.
+#: Generator files' families: the module that defines each, imported on the family's first request, and the names
+#: there of its spec type (its `__init__` parameters are the "params") and of its builder.
 GENERATORS = {
-    "kummer": ("KummerSpec", "build_kummer"),
-    "projective_quotient": ("ProjectiveQuotientSpec", "build_projective_quotient"),
+    "kummer": ("quotient", "KummerSpec", "build_kummer"),
+    "projective_quotient": ("projective", "ProjectiveQuotientSpec", "build_projective_quotient"),
 }
-__getattr__, __dir__ = _lazy_names(__name__, dict.fromkeys(GENERATORS["projective_quotient"], ".projective"))
 
 
 def _require_int(value: object, where: str) -> int:
@@ -141,7 +132,9 @@ def _presentation_from_generator(obj: dict) -> OrbifoldPresentation:
     name = _require_str(obj["name"], "name") if "name" in obj else None
     if family not in GENERATORS:
         raise ParseError(f"unknown generator family {family!r}")
-    spec_type, build = (getattr(sys.modules[__name__], n) for n in GENERATORS[family])
+    home, *names = GENERATORS[family]
+    module = import_module(f".{home}", __package__)
+    spec_type, build = (getattr(module, n) for n in names)
     shapes = spec_type.__init__.__annotations__  # real types: this module does not postpone its annotations
     _require_keys(params, set(shapes), set(), "params")
     spec = spec_type(*(_from_json_shape(params[name], shape, f"params.{name}") for name, shape in shapes.items()))

@@ -13,6 +13,7 @@ from orbikit import (
     StringyPolynomial,
     ValidationError,
     as_grade,
+    assemble_diamond,
     check_partners,
     check_symmetries,
     columns,
@@ -20,7 +21,7 @@ from orbikit import (
     stringy_e,
 )
 from orbikit.grades import _check_entry, _check_term
-from support import K3_DIAMOND, KUMMER3_DIAMOND, P2_MU3_DIAMOND
+from support import K3_DIAMOND, KUMMER3_DIAMOND, P2_MU3_DIAMOND, random_fractional_diamonds
 
 
 @st.composite
@@ -147,6 +148,18 @@ class TestSerreDual:
         d = HodgeDiamond(1, {(1, 0): 1})
         assert serre_dual(d) == HodgeDiamond(1, {(0, 1): 1})
 
+    def test_lattice_dual_matches_the_dual_rebuilt_from_items(self, kummer3, p2_mu3, rng):
+        """The dual read off the lattice equals the one rebuilt from `items()`, `level` included."""
+        for d in [assemble_diamond(kummer3), assemble_diamond(p2_mu3), *random_fractional_diamonds(rng, 5)]:
+            assert_dual_matches_rebuilt(d)
+
+
+def assert_dual_matches_rebuilt(d):
+    n = d.dim_n
+    rebuilt = HodgeDiamond(n, {(n - p, n - q): h for (p, q), h in d.items()}, level=d.level)
+    dual = serre_dual(d)
+    assert dual == rebuilt and dual.level == rebuilt.level
+
 
 class TestCheckSymmetries:
     def test_k3(self, k3_diamond):
@@ -243,6 +256,11 @@ def test_hash_ignores_level_and_is_stable(d, k):
     assert e.level != d.level
     assert hash(d) == hash(d) == hash(e) and d == e
     assert {d: "first"}[e] == "first"
+
+
+@given(diamonds())
+def test_serre_dual_matches_the_dual_rebuilt_from_items(d):
+    assert_dual_matches_rebuilt(d)
 
 
 @given(diamonds())

@@ -2,8 +2,11 @@
 
 import subprocess
 import sys
+from importlib import import_module
 
 import pytest
+
+import orbikit
 
 
 def _python(*args):
@@ -12,18 +15,22 @@ def _python(*args):
     return proc
 
 
-# `python -m orbikit ARGV`, run by `runpy` as `-m` runs it, then the name of every module in `sys.modules` at exit,
-# one a line on standard error.  `-X importtime` would miss a module loaded through `importlib.import_module`.
-RUN_AND_LIST_MODULES = """\
-import atexit, runpy, sys
+# The name of every module in `sys.modules` at exit, one a line on standard error, then the code to watch.
+# `-X importtime` would miss a module loaded through `importlib.import_module`.
+LIST_MODULES_AT_EXIT = """\
+import atexit, sys
 atexit.register(lambda: print(*sys.modules, sep="\\n", file=sys.stderr))
-runpy.run_module("orbikit", run_name="__main__", alter_sys=True)
 """
 
 
+def modules_after(code, *argv):
+    """Every module loaded when `code`, run with `argv` in a fresh interpreter, exits, however it was imported."""
+    return set(_python("-c", LIST_MODULES_AT_EXIT + code, *argv).stderr.splitlines())
+
+
 def cli_imports(*argv):
-    """Every module loaded when `python -m orbikit ARGV` exits, however it was imported."""
-    return set(_python("-c", RUN_AND_LIST_MODULES, *argv).stderr.splitlines())
+    """Every module loaded by `python -m orbikit ARGV`, run by `runpy` as `-m` runs it."""
+    return modules_after('import runpy\nrunpy.run_module("orbikit", run_name="__main__", alter_sys=True)', *argv)
 
 
 # No command imports `dataclasses`, or `inspect`, `ast` and `dis` with it: the records are plain `__slots__` classes.
@@ -102,6 +109,36 @@ def run_fresh(code):
     return _python("-c", f"import sys, orbikit\n{code}").stdout
 
 
+# Each public name loads only its home module and what that module imports.
+@pytest.mark.parametrize("code, loaded", [
+    ("orbikit.assemble_diamond(orbikit.build_kummer(2))", {"diamond", "errors", "inertia", "quotient"}),
+    ("orbikit.HodgeDiamond", {"diamond", "errors"}),
+    ("orbikit.__all__, dir(orbikit)", set()),
+], ids=["assemble_diamond", "HodgeDiamond", "all_and_dir"])
+def test_a_public_name_loads_only_its_home_module(code, loaded):
+    imported = {m for m in modules_after(f"import orbikit\n{code}") if m.split(".")[0] == "orbikit"}
+    assert imported == {"orbikit", *(f"orbikit.{m}" for m in loaded)}
+
+
+@pytest.mark.parametrize("code", [
+    "d = orbikit.assemble_diamond(orbikit.build_kummer(2))\norbikit.check_partners(d, d)",
+    "orbikit.serre_dual(orbikit.assemble_diamond(orbikit.build_kummer(3)))",
+], ids=["check_partners", "serre_dual"])
+def test_partners_and_the_serre_dual_load_neither_the_codec_nor_the_projective_family(code):
+    assert not {"orbikit.grades", "orbikit.projective", "fractions"} & modules_after(f"import orbikit\n{code}")
+
+
+def test_grade_loads_the_codec_and_fractions():
+    assert {"orbikit.grades", "fractions"} <= modules_after("import orbikit\norbikit.Grade")
+
+
+def test_each_public_name_is_the_one_its_home_module_defines():
+    for name, home in orbikit._HOMES.items():
+        value = getattr(orbikit, name)
+        assert value is getattr(import_module(f"orbikit.{home}"), name), name
+        assert value.__module__ == ("fractions" if name == "Grade" else f"orbikit.{home}"), name
+
+
 def test_a_bare_import_loads_no_submodule():
     assert run_fresh("print(*sorted(m for m in sys.modules if m.startswith('orbikit')))") == "orbikit\n"
 
@@ -133,21 +170,23 @@ def test_formats_catalog_and_cli_resolve_by_attribute():
     assert out == "False True orbikit.catalog True\nmodule 'orbikit' has no attribute 'nope'\n"
 
 
-# Names that `diamond` and `quotient` load on first use, each case in its own fresh interpreter.
+# Names that load their home module on first use, each case in its own fresh interpreter.
 LAZY_NAMES = {
     "package_grade": "import fractions\nprint(orbikit.Grade is fractions.Fraction)",
     "diamond_names": (
-        "from orbikit.diamond import Grade, as_grade, format_grade\nimport fractions\n"
-        "print(Grade is fractions.Fraction and format_grade(as_grade('-1/3')) == '-1/3')"
+        "from orbikit.grades import Grade, as_grade, format_grade\nimport fractions\n"
+        "print(Grade is fractions.Fraction and format_grade(as_grade('-1/3')) == '-1/3' "
+        "and orbikit.as_grade is as_grade)"
     ),
     "quotient_names": (
-        "from orbikit.quotient import build_projective_quotient, ProjectiveQuotientSpec\n"
-        "print(build_projective_quotient(ProjectiveQuotientSpec(2, (3,), ((0, 1, 2),))).name == 'p2_z3')"
+        "from orbikit.projective import build_projective_quotient, ProjectiveQuotientSpec\n"
+        "print(build_projective_quotient(ProjectiveQuotientSpec(2, (3,), ((0, 1, 2),))).name == 'p2_z3' "
+        "and orbikit.build_projective_quotient is build_projective_quotient)"
     ),
     "dir_before_use": (
-        "import orbikit.diamond as d, orbikit.quotient as q\n"
-        "print({'Grade', 'as_grade', 'format_grade'} <= set(dir(d)), "
-        "{'build_projective_quotient', 'ProjectiveQuotientSpec'} <= set(dir(q)), "
+        "names = set(dir(orbikit))\n"
+        "print({'Grade', 'as_grade', 'format_grade'} <= names, "
+        "{'build_projective_quotient', 'ProjectiveQuotientSpec'} <= names, "
         "not {'fractions', 'orbikit.grades', 'orbikit.projective'} & set(sys.modules))"
     ),
     "fraction_keys": (
